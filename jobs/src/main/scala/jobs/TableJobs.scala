@@ -1,6 +1,5 @@
 package jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.exp.ExpSession
 
 /** spark-submit entrypoints, one per reproduced table.
@@ -12,17 +11,7 @@ import repro.exp.ExpSession
   * }}}
   */
 object TableJobs {
-  def session(): ExpSession = {
-    val spark = SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("gralmatch-repro")
-      .config("spark.sql.shuffle.partitions",
-        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-    spark.sparkContext.setLogLevel("WARN")
-    new ExpSession(spark)
-  }
+  def session(): ExpSession = new ExpSession(ExpSession.sparkSession())
 }
 
 /** Table 1 — dataset statistics. */

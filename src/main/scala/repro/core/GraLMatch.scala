@@ -23,7 +23,9 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
   * paper's global argmax loop is equivalent to processing every initial
   * component independently — a `groupByKey(component).flatMapGroups`
   * dataflow where each task runs the two phases on its component's local
-  * edge list.
+  * edge list. The grouping key may be any component assignment the edges
+  * refine (e.g. the components before Pre Graph Cleanup): the local kernel
+  * splits its input into connected components itself.
   */
 object GraLMatch {
 
@@ -32,12 +34,15 @@ object GraLMatch {
   }
 
   /** Per-component cleanup: returns the final record→group assignment of
-    * the component's vertices (group label = min record id of the
-    * subcomponent). Exposed for testing.
+    * the vertices of `edges` (group label = min record id of the
+    * subcomponent). The edges may span several connected components; each
+    * is cleaned independently. Exposed for testing.
     *
-    * @param maxLocalVertices safety valve: components larger than this are
-    *                         returned unsplit (the Pre Graph Cleanup is
-    *                         responsible for keeping components tractable)
+    * @param maxLocalVertices safety valve: connected components of `edges`
+    *                         larger than this are returned unsplit (the Pre
+    *                         Graph Cleanup is responsible for keeping
+    *                         components tractable); smaller ones in the
+    *                         same call are still cleaned
     */
   def cleanupComponent(
       edges: Seq[(Long, Long)],
@@ -45,35 +50,37 @@ object GraLMatch {
       maxLocalVertices: Int = 1500
   ): Seq[(Long, Long)] = {
     var g = LocalGraph.fromEdges(edges)
-    if (g.numVertices > maxLocalVertices)
-      return g.components.flatMap(c => c.toSeq.map(_ -> c.min))
+    // Components are only ever split, so one within the valve stays within.
+    def over(limit: Int) =
+      g.components.filter(c => c.size > limit && c.size <= maxLocalVertices)
 
     // Phase 1: minimum edge cut until every subcomponent is <= gamma.
     var guard = g.numEdges + 1
-    var work = g.components.filter(_.size > thresholds.gamma)
+    var work = over(thresholds.gamma)
     while (work.nonEmpty && guard > 0) {
       val comp = work.head
       val cut  = MinCut.minimumEdgeCut(g.subgraph(comp))
       g = g.removeEdges(cut)
       guard -= math.max(1, cut.size)
-      work = g.components.filter(_.size > thresholds.gamma)
+      work = over(thresholds.gamma)
     }
 
     // Phase 2: highest-betweenness edge removal until <= mu.
     guard = g.numEdges + 1
-    var big = g.components.filter(_.size > thresholds.mu)
+    var big = over(thresholds.mu)
     while (big.nonEmpty && guard > 0) {
       val comp = big.head
       val e    = Betweenness.maxBetweennessEdge(g.subgraph(comp))
       g = g.removeEdges(Set(e))
       guard -= 1
-      big = g.components.filter(_.size > thresholds.mu)
+      big = over(thresholds.mu)
     }
 
     g.components.flatMap(c => c.toSeq.map(_ -> c.min))
   }
 
-  /** Runs the cleanup over the full prediction graph.
+  /** Runs the cleanup over the full prediction graph: its connected
+    * components, then [[cleanup]].
     *
     * @param edges    positive predictions (`src`, `dst`)
     * @param vertices optional `(id)` frame of all records to assign;
@@ -85,12 +92,26 @@ object GraLMatch {
       edges: DataFrame,
       thresholds: Thresholds,
       vertices: Option[DataFrame] = None
+  ): DataFrame =
+    cleanup(spark, edges, ConnectedComponents.run(spark, edges, vertices), thresholds)
+
+  /** Algorithm 1 over `edges`, one task per component of `assign`.
+    *
+    * @param edges  predictions to clean (`src`, `dst`); every edge must lie
+    *               inside one component of `assign`
+    * @param assign `(id, component)` for every record to assign; records
+    *               without an edge in `edges` become singleton groups
+    * @return `(id, group)` — the final entity group assignment
+    */
+  def cleanup(
+      spark: SparkSession,
+      edges: DataFrame,
+      assign: DataFrame,
+      thresholds: Thresholds
   ): DataFrame = {
     import spark.implicits._
 
     val e = edges.select(col("src").cast("long"), col("dst").cast("long")).distinct()
-    val assign = ConnectedComponents.run(spark, e)
-
     val byComp = e
       .join(assign.withColumnRenamed("id", "src"), "src")
       .select(col("component"), col("src"), col("dst"))
@@ -104,13 +125,8 @@ object GraLMatch {
       }
       .toDF("id", "group")
 
-    vertices match {
-      case None => cleaned
-      case Some(v) =>
-        val all = v.select(col("id").cast("long"))
-        val missing = all.join(cleaned, Seq("id"), "left_anti")
-          .select(col("id"), col("id").as("group"))
-        cleaned.unionByName(missing)
-    }
+    val singletons = assign.join(cleaned, Seq("id"), "left_anti")
+      .select(col("id"), col("id").as("group"))
+    cleaned.unionByName(singletons)
   }
 }

@@ -53,13 +53,15 @@ object Metrics {
 
   /** Scores a group assignment (stage 2/3): `(PairScores, clusterPurity)`.
     *
-    * @param assignment `(id, component)` — every evaluated record must
-    *                   appear (records with no predicted match form
-    *                   singleton components)
+    * @param assignment `(id, label)` — the record id, then its group label
+    *                   under any column name (`component` from connected
+    *                   components, `group` from GraLMatch); every evaluated
+    *                   record must appear (records with no predicted match
+    *                   form singleton components)
     */
   def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) = {
     val ent = records.select(col("recordId").as("id"), col("entityId"))
-    val tagged = assignment.join(ent, "id")
+    val tagged = assignment.toDF("id", "component").join(ent, "id")
 
     // per (component, entity) record counts m → per component: n and Σ C(m,2)
     val perEntity = tagged.groupBy("component", "entityId").agg(count(lit(1)).as("m"))

@@ -11,6 +11,12 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * blocking candidates → pairwise model → Pre Graph Cleanup → GraLMatch
   * Graph Cleanup → entity groups, with the three evaluation stages of
   * §5.3.2 snapshotted along the way.
+  *
+  * Connected components are computed once per run, at stage 2. Pre Graph
+  * Cleanup and GraLMatch only delete edges, so every final group lies
+  * inside a stage-2 component: both reuse that assignment
+  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]) instead of running their
+  * own pass.
   */
 object Pipeline {
 
@@ -23,7 +29,7 @@ object Pipeline {
       preCleanup: StageScores,            // stage 2: transitive closure
       postCleanup: StageScores,           // stage 3: after GraLMatch
       inferenceSeconds: Double,
-      groups: DataFrame                   // final (id, group) assignment
+      groups: DataFrame                   // final (id, group) assignment, cached
   )
 
   /** Runs the matching on one dataset.
@@ -70,23 +76,23 @@ object Pipeline {
     val allIds = records.select(col("recordId").as("id"))
 
     // ---- stage 2: transitive closure of raw predictions ---------------
+    // the run's only connected-components pass; stage 3 reuses it
     val preAssign = ConnectedComponents
       .run(spark, positives.select("src", "dst"), Some(allIds))
     val (preScores, prePurity) = Metrics.scoreGroups(preAssign, records)
 
     // ---- stage 3: Pre Graph Cleanup + GraLMatch -----------------------
-    val kept = PreCleanup.run(spark, positives, preCleanupMax)
-    val groups = GraLMatch
-      .run(spark, kept.select("src", "dst"), thresholds, Some(allIds))
-      .withColumnRenamed("group", "component")
-      .cache()
+    val kept = PreCleanup.keep(positives, preAssign, preCleanupMax)
+    val groups = GraLMatch.cleanup(spark, kept, preAssign, thresholds).cache()
     val (postScores, postPurity) = Metrics.scoreGroups(groups, records)
+    positives.unpersist()
+    pairs.unpersist()
 
     Result(
       nCandidates, nPositive, pairwise,
       StageScores(preScores, prePurity),
       StageScores(postScores, postPurity),
       inferenceSeconds,
-      groups.withColumnRenamed("component", "group"))
+      groups)
   }
 }

@@ -14,10 +14,17 @@ import repro.graph.ConnectedComponents
   * GraLMatch cleanup, all positively predicted matches whose *only* blocking
   * provenance is Token Overlap are removed from connected components larger
   * than `maxComponent` (50 in the paper) records.
+  *
+  * The components are those of the raw predictions (the pipeline's stage-2
+  * assignment), so [[Pipeline]] passes its own assignment to [[keep]]
+  * instead of computing them again.
   */
 object PreCleanup {
 
-  /** @param edges positive predictions with `src`, `dst` and a `blockings`
+  /** Pre-cleanup of a prediction graph: its connected components, then
+    * [[keep]].
+    *
+    * @param edges positive predictions with `src`, `dst` and a `blockings`
     *              array column (the provenance of the candidate pair)
     * @return the retained edges (same schema)
     */
@@ -25,8 +32,17 @@ object PreCleanup {
       spark: SparkSession,
       edges: DataFrame,
       maxComponent: Int = 50
-  ): DataFrame = {
-    val assign = ConnectedComponents.run(spark, edges.select("src", "dst"))
+  ): DataFrame =
+    keep(edges, ConnectedComponents.run(spark, edges.select("src", "dst")), maxComponent)
+
+  /** Pre-cleanup against a known component assignment.
+    *
+    * @param edges  positive predictions with `src`, `dst` and `blockings`
+    * @param assign `(id, component)` of the graph formed by `edges`; it may
+    *               also hold isolated records (singleton components)
+    * @return the retained edges (same schema as `edges`)
+    */
+  def keep(edges: DataFrame, assign: DataFrame, maxComponent: Int): DataFrame = {
     val compSize = assign.groupBy("component").agg(count(lit(1)).as("size"))
     val bigComps = compSize.where(col("size") > maxComponent).select("component")
     val compOf = assign

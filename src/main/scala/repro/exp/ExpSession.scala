@@ -136,3 +136,25 @@ final class ExpSession(val spark: SparkSession) {
     sb.result()
   }
 }
+
+object ExpSession {
+
+  /** The one SparkSession builder, shared by the tests, the bench suites
+    * and the job entry points: master `SPARK_MASTER` (default
+    * `local[*]`), `SPARK_SHUFFLE_PARTITIONS` shuffle partitions (default
+    * 64) and WARN logging. Broadcast joins are disabled, so the joins
+    * exercise the shuffle path even at test scale.
+    */
+  def sparkSession(): SparkSession = {
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName("gralmatch-repro")
+      .config("spark.sql.shuffle.partitions",
+        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+    // keep test/bench output readable; bump to INFO when debugging
+    spark.sparkContext.setLogLevel("WARN")
+    spark
+  }
+}

@@ -139,8 +139,7 @@ object Experiments {
       gamma = 25, mu = 5, pipelineOnTest = true, fourModels)(spark)
 
   def wdcProducts(spark: SparkSession): Built = {
-    val products = withSplit(WdcGen.generate(spark, wdcParams).toDF()
-      .withColumnRenamed("title", "title")).cache()
+    val products = withSplit(WdcGen.generate(spark, wdcParams).toDF()).cache()
     val pipeline = products.where(col("split") === Splits.Test).cache()
     val cands = TokenOverlapBlocking.candidates(pipeline, "title", topN = 5, maxDocFreq = 500)
     val empty = products.sparkSession.emptyDataFrame

@@ -1,7 +1,8 @@
 package repro.core
 
 import repro.SparkSpec
-import repro.graph.LocalGraph
+import repro.blocking.Blocking
+import repro.graph.ConnectedComponents
 import GraLMatch.Thresholds
 
 class GraLMatchSpec extends SparkSpec {
@@ -60,6 +61,14 @@ class GraLMatchSpec extends SparkSpec {
     assert(groupsOf(out) == Set((1L to 8L).toSet))
   }
 
+  test("maxLocalVertices applies to each local component, not the whole input") {
+    val shifted = barbell.map { case (a, b) => (a + 100, b + 100) }
+    val out = GraLMatch.cleanupComponent(barbell ++ shifted, Thresholds(25, 5), maxLocalVertices = 8)
+    assert(groupsOf(out) == Set(
+      Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L),
+      Set(101L, 102L, 103L, 104L), Set(105L, 106L, 107L, 108L)))
+  }
+
   test("all vertices of the input are assigned exactly once") {
     val out = GraLMatch.cleanupComponent(barbell, Thresholds(5, 5))
     assert(out.map(_._1).sorted == (1L to 8L))
@@ -85,6 +94,41 @@ class GraLMatchSpec extends SparkSpec {
       Thresholds(25, 5), Some(Seq(1L, 2L, 99L).toDF("id")))
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
     assert(groupsOf(out) == Set(Set(1L, 2L), Set(99L)))
+  }
+
+  // Groups of one CC pass shared by pre-cleanup and cleanup, checked equal
+  // to those of a pass in each step (pre-cleanup threshold 10).
+  private def onePassGroups(
+      edges: Seq[(Long, Long, Seq[String])], ids: Seq[Long]): Set[Set[Long]] = {
+    val e = edges.toDF("src", "dst", "blockings")
+    val v = ids.toDF("id")
+    val th = Thresholds(25, 5)
+    def rows(df: org.apache.spark.sql.DataFrame) =
+      df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val cc = ConnectedComponents.run(spark, e.select("src", "dst"), Some(v))
+    val one = rows(GraLMatch.cleanup(spark, PreCleanup.keep(e, cc, 10), cc, th))
+    val three = rows(GraLMatch.run(spark, PreCleanup.run(spark, e, 10), th, Some(v)))
+    assert(one == three)
+    groupsOf(one.toSeq)
+  }
+
+  test("one CC pass equals three: pre-cleanup splits, then Algorithm 1 cleans") {
+    // 16 records > 10: the token-only link goes, then each barbell splits
+    val id = Seq(Blocking.IdOverlap)
+    val twoBarbells = (barbell ++ barbell.map { case (a, b) => (a + 10, b + 10) })
+      .map { case (a, b) => (a, b, id) } :+ ((8L, 11L, Seq(Blocking.TokenOverlap)))
+    assert(onePassGroups(twoBarbells, (1L to 8L) ++ (11L to 18L)) == Set(
+      Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L),
+      Set(11L, 12L, 13L, 14L), Set(15L, 16L, 17L, 18L)))
+  }
+
+  test("one CC pass equals three: an isolated id is a singleton") {
+    assert(onePassGroups(Seq((1L, 2L, Seq(Blocking.TokenOverlap))), Seq(1L, 2L, 99L)) ==
+      Set(Set(1L, 2L), Set(99L)))
+  }
+
+  test("one CC pass equals three: no edges, every id a singleton") {
+    assert(onePassGroups(Seq.empty, Seq(1L, 2L, 3L)) == Set(Set(1L), Set(2L), Set(3L)))
   }
 
   test("thresholds require gamma >= mu") {

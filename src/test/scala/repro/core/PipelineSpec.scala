@@ -15,8 +15,7 @@ class PipelineSpec extends SparkSpec {
 
   private lazy val fixtures = {
     val d = EmDatasets.generate(spark, p)
-    val secs = d.securities.toDF()
-      .withColumnRenamed("recordId", "recordId").cache()
+    val secs = d.securities.toDF().cache()
     val cands = Blocking.combine(
       IdOverlapBlocking.securityCandidates(secs),
       TokenOverlapBlocking.candidates(secs, "name", topN = 3, maxDocFreq = 100))
