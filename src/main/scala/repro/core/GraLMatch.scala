@@ -21,9 +21,10 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
   *
   * Distribution: operations on one component never affect another, so the
   * paper's global argmax loop is equivalent to processing every initial
-  * component independently — a `groupByKey(component).flatMapGroups`
-  * dataflow where each task runs the two phases on its component's local
-  * edge list. The grouping key may be any component assignment the edges
+  * component independently — a `cogroup` by component of the edges and the
+  * member ids, where each group runs the two phases once on its
+  * component's local edge list and emits the members without an edge as
+  * singletons. The grouping key may be any component assignment the edges
   * refine (e.g. the components before Pre Graph Cleanup): the local kernel
   * splits its input into connected components itself.
   */
@@ -50,33 +51,32 @@ object GraLMatch {
       maxLocalVertices: Int = 1500
   ): Seq[(Long, Long)] = {
     var g = LocalGraph.fromEdges(edges)
-    // Components are only ever split, so one within the valve stays within.
-    def over(limit: Int) =
-      g.components.filter(c => c.size > limit && c.size <= maxLocalVertices)
+    val all = Array.range(0, g.numVertices)
 
+    // Removes `step`'s edges from the component with the smallest minimum
+    // vertex among those over `limit` (and within the valve) until none is
+    // left, re-splitting only the component that lost edges. Components are
+    // only ever split, so one within the valve stays within.
+    def phase(limit: Int, step: Array[Int] => Array[Int]): Unit = {
+      val work = new java.util.TreeMap[Int, Array[Int]] // by smallest member
+      def enqueue(cs: Seq[Array[Int]]): Unit =
+        for (c <- cs if c.length > limit && c.length <= maxLocalVertices) work.put(c(0), c)
+      enqueue(g.componentsWithin(all))
+      var guard = g.numEdges + 1
+      while (!work.isEmpty && guard > 0) {
+        val comp = work.pollFirstEntry().getValue
+        val removed = step(comp)
+        g = g.withoutEdges(removed)
+        guard -= math.max(1, removed.length)
+        enqueue(g.componentsWithin(comp))
+      }
+    }
     // Phase 1: minimum edge cut until every subcomponent is <= gamma.
-    var guard = g.numEdges + 1
-    var work = over(thresholds.gamma)
-    while (work.nonEmpty && guard > 0) {
-      val comp = work.head
-      val cut  = MinCut.minimumEdgeCut(g.subgraph(comp))
-      g = g.removeEdges(cut)
-      guard -= math.max(1, cut.size)
-      work = over(thresholds.gamma)
-    }
-
+    phase(thresholds.gamma, MinCut.cutEdges(g, _))
     // Phase 2: highest-betweenness edge removal until <= mu.
-    guard = g.numEdges + 1
-    var big = over(thresholds.mu)
-    while (big.nonEmpty && guard > 0) {
-      val comp = big.head
-      val e    = Betweenness.maxBetweennessEdge(g.subgraph(comp))
-      g = g.removeEdges(Set(e))
-      guard -= 1
-      big = over(thresholds.mu)
-    }
+    phase(thresholds.mu, c => Array(Betweenness.maxEdge(g, c)))
 
-    g.components.flatMap(c => c.toSeq.map(_ -> c.min))
+    g.componentsWithin(all).flatMap(c => c.map(v => g.ids(v) -> g.ids(c(0))))
   }
 
   /** Runs the cleanup over the full prediction graph: its connected
@@ -95,7 +95,7 @@ object GraLMatch {
   ): DataFrame =
     cleanup(spark, edges, ConnectedComponents.run(spark, edges, vertices), thresholds)
 
-  /** Algorithm 1 over `edges`, one task per component of `assign`.
+  /** Algorithm 1 over `edges`, one kernel run per component of `assign`.
     *
     * @param edges  predictions to clean (`src`, `dst`); every edge must lie
     *               inside one component of `assign`
@@ -112,21 +112,19 @@ object GraLMatch {
     import spark.implicits._
 
     val e = edges.select(col("src").cast("long"), col("dst").cast("long")).distinct()
-    val byComp = e
+    val edgesByComp = e
       .join(assign.withColumnRenamed("id", "src"), "src")
       .select(col("component"), col("src"), col("dst"))
       .as[(Long, Long, Long)]
-
-    val cleaned = byComp
       .groupByKey(_._1)
-      .flatMapGroups { (_, rows) =>
-        val es = rows.map(r => (r._2, r._3)).toSeq
-        cleanupComponent(es, thresholds).iterator
+    val membersByComp = assign.select(col("component"), col("id")).as[(Long, Long)].groupByKey(_._1)
+
+    membersByComp
+      .cogroup(edgesByComp) { (_, members, rows) =>
+        val cleaned = cleanupComponent(rows.map(r => (r._2, r._3)).toSeq, thresholds)
+        val assigned = cleaned.iterator.map(_._1).toSet
+        cleaned.iterator ++ members.map(_._2).filterNot(assigned).map(id => (id, id))
       }
       .toDF("id", "group")
-
-    val singletons = assign.join(cleaned, Seq("id"), "left_anti")
-      .select(col("id"), col("id").as("group"))
-    cleaned.unionByName(singletons)
   }
 }

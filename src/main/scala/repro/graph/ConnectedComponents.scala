@@ -16,7 +16,8 @@ import org.apache.spark.sql.functions._
   * (label := label(label)), which brings convergence to O(log n) rounds on
   * path-like graphs instead of O(diameter). Each round is pure Catalyst
   * dataflow (joins + aggregations); lineage is truncated per round with a
-  * local checkpoint.
+  * local checkpoint. The loop stops at the first round that leaves the sum
+  * of all labels unchanged.
   */
 object ConnectedComponents {
 
@@ -56,6 +57,11 @@ object ConnectedComponents {
     var assign = allIds.select($"id", $"id".as("comp")).localCheckpoint(true)
     var iter = 0
     var converged = sym.isEmpty
+    // Labels only decrease (comp(x) <= x, and both steps take minima), so a
+    // round changed a label exactly when the label sum fell. The first round
+    // always lowers the larger endpoint of some edge, so it has no
+    // predecessor sum to compare with.
+    var labelSum: Option[java.math.BigDecimal] = None
 
     while (!converged && iter < maxIter) {
       val nbrMin = sym
@@ -77,13 +83,10 @@ object ConnectedComponents {
         .select(step("id"), coalesce($"ccomp", step("comp")).as("comp"))
         .localCheckpoint(true)
 
-      val changed = jumped
-        .join(assign.withColumnRenamed("comp", "old"), "id")
-        .where($"comp" =!= $"old")
-        .limit(1)
-        .count()
+      val total = jumped.agg(sum($"comp".cast("decimal(38,0)"))).head().getDecimal(0)
       assign = jumped
-      converged = changed == 0
+      converged = labelSum.contains(total)
+      labelSum = Some(total)
       iter += 1
     }
     require(converged, s"connected components did not converge in $maxIter iterations")

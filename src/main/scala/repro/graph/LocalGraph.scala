@@ -1,77 +1,137 @@
 package repro.graph
 
-import scala.collection.mutable
+import java.util.Arrays
 
-/** Immutable undirected graph over `Long` vertex ids, small enough to live in
-  * one task.
+/** Undirected graph over `Long` vertex ids, small enough to live in one task.
   *
   * GraLMatch's Algorithm 1 operates per connected component: the distributed
   * pipeline groups the edge list by component id and hands each component's
   * edges to a task, which materializes it as a `LocalGraph` and runs the
   * per-component algorithms ([[MinCut]], [[Betweenness]]) locally.
   *
-  * Edges are stored canonically with `src < dst`; self-loops are dropped and
-  * parallel edges collapse. Vertices with no edges are representable (pass
-  * them explicitly to [[LocalGraph.fromEdges]]).
+  * Compact representation, built once per call: vertex ids are relabelled to
+  * `0..n-1` in ascending id order (so every order on labels is the order on
+  * ids), edges are numbered `0..m-1` in canonical `(src < dst)` order, and
+  * the adjacency is a CSR array pair with each vertex's neighbours sorted.
+  * Edge removal shares those arrays and copies only the alive-edge mask, so
+  * a `LocalGraph` value never changes. Self-loops are dropped and parallel
+  * edges collapse. Vertices with no edges are representable (pass them
+  * explicitly to [[LocalGraph.fromEdges]]).
   */
 final class LocalGraph private (
-    private val adj: Map[Long, Set[Long]]
+    /** Vertex id of each label, ascending. */
+    private[repro] val ids: Array[Long],
+    /** Adjacency slots of label `v` are `offsets(v) until offsets(v + 1)`. */
+    private[graph] val offsets: Array[Int],
+    /** Neighbour label of each slot, ascending per vertex. */
+    private[graph] val nbr: Array[Int],
+    /** Edge number of each slot. */
+    private[graph] val slotEdge: Array[Int],
+    /** Endpoint labels of each edge, `edgeU(e) < edgeV(e)`. */
+    private[graph] val edgeU: Array[Int],
+    private[graph] val edgeV: Array[Int],
+    private[graph] val alive: Array[Boolean],
+    val numEdges: Int
 ) extends Serializable {
 
-  /** All vertices, including isolated ones. */
-  def vertices: Set[Long] = adj.keySet
+  def numVertices: Int = ids.length
 
-  def numVertices: Int = adj.size
+  /** All vertices, including isolated ones. */
+  def vertices: Set[Long] = ids.toSet
 
   /** Canonical edge list (`src < dst`), deterministic order. */
   def edges: Seq[(Long, Long)] =
-    adj.toSeq
-      .flatMap { case (u, ns) => ns.collect { case v if u < v => (u, v) } }
-      .sorted
+    edgeU.indices.collect { case e if alive(e) => (ids(edgeU(e)), ids(edgeV(e))) }
 
-  def numEdges: Int = adj.valuesIterator.map(_.size).sum / 2
-
-  def neighbors(v: Long): Set[Long] = adj.getOrElse(v, Set.empty)
+  def neighbors(v: Long): Set[Long] = {
+    val i = Arrays.binarySearch(ids, v)
+    if (i < 0) Set.empty
+    else (offsets(i) until offsets(i + 1)).collect { case s if alive(slotEdge(s)) => ids(nbr(s)) }.toSet
+  }
 
   def degree(v: Long): Int = neighbors(v).size
 
-  def containsEdge(u: Long, v: Long): Boolean = neighbors(u).contains(v)
-
   /** Connected components via BFS; deterministic order (by smallest member). */
-  def components: Seq[Set[Long]] = {
-    val seen = mutable.Set.empty[Long]
-    val out  = mutable.ArrayBuffer.empty[Set[Long]]
-    for (start <- vertices.toSeq.sorted if !seen(start)) {
-      val comp  = mutable.Set(start)
-      val queue = mutable.Queue(start)
-      seen += start
-      while (queue.nonEmpty) {
-        val u = queue.dequeue()
-        for (v <- neighbors(u) if !seen(v)) {
-          seen += v; comp += v; queue += v
-        }
-      }
-      out += comp.toSet
-    }
-    out.toSeq
-  }
+  def components: Seq[Set[Long]] =
+    componentsWithin(Array.range(0, numVertices)).map(_.iterator.map(ids).toSet)
 
   /** Induced subgraph on `vs` (keeps isolated members of `vs`). */
   def subgraph(vs: Set[Long]): LocalGraph =
-    new LocalGraph(
-      vs.iterator.map(v => v -> neighbors(v).intersect(vs)).toMap
-    )
+    LocalGraph.fromEdges(edges.filter { case (u, v) => vs(u) && vs(v) }, vs)
 
-  /** Graph with the given canonical edges removed; vertices are kept. */
-  def removeEdges(toRemove: Set[(Long, Long)]): LocalGraph = {
-    val norm = toRemove.map { case (u, v) => if (u < v) (u, v) else (v, u) }
-    val m = adj.map { case (u, ns) =>
-      u -> ns.filterNot(v => norm.contains(if (u < v) (u, v) else (v, u)))
+  /** Graph with the given edges (either endpoint order) removed; vertices
+    * are kept.
+    */
+  def removeEdges(toRemove: Set[(Long, Long)]): LocalGraph =
+    withoutEdges(toRemove.iterator.flatMap { case (u, v) => edgeNumber(u, v) }.toArray)
+
+  def isConnected: Boolean =
+    numVertices <= 1 || componentsWithin(Array.range(0, numVertices)).size == 1
+
+  private def edgeNumber(u: Long, v: Long): Option[Int] = {
+    val a = Arrays.binarySearch(ids, u)
+    val b = Arrays.binarySearch(ids, v)
+    if (a < 0 || b < 0) None
+    else {
+      val s = Arrays.binarySearch(nbr, offsets(a), offsets(a + 1), b)
+      if (s < 0 || !alive(slotEdge(s))) None else Some(slotEdge(s))
     }
-    new LocalGraph(m)
   }
 
-  def isConnected: Boolean = numVertices <= 1 || components.size == 1
+  /** The graph without the given edge numbers (already-removed ones are
+    * ignored).
+    */
+  private[repro] def withoutEdges(es: Array[Int]): LocalGraph = {
+    val mask = alive.clone()
+    var removed = 0
+    for (e <- es if mask(e)) { mask(e) = false; removed += 1 }
+    new LocalGraph(ids, offsets, nbr, slotEdge, edgeU, edgeV, mask, numEdges - removed)
+  }
+
+  /** Connected components of the alive edges, restricted to `members`, which
+    * must be ascending and closed under alive edges (a union of components).
+    * Each component is returned ascending; components are ordered by their
+    * smallest member.
+    */
+  private[repro] def componentsWithin(members: Array[Int]): Seq[Array[Int]] = {
+    val seen  = new Array[Boolean](numVertices)
+    val queue = new Array[Int](members.length)
+    val out   = Seq.newBuilder[Array[Int]]
+    for (start <- members if !seen(start)) {
+      seen(start) = true
+      queue(0) = start
+      var head = 0; var tail = 1
+      while (head < tail) {
+        val u = queue(head); head += 1
+        var s = offsets(u)
+        while (s < offsets(u + 1)) {
+          val w = nbr(s)
+          if (alive(slotEdge(s)) && !seen(w)) { seen(w) = true; queue(tail) = w; tail += 1 }
+          s += 1
+        }
+      }
+      val comp = Arrays.copyOf(queue, tail)
+      Arrays.sort(comp)
+      out += comp
+    }
+    out.result()
+  }
+
+  /** Alive edge numbers with both endpoints in the ascending label set
+    * `comp`, which must be closed under alive edges; ascending, that is in
+    * canonical `(src, dst)` order.
+    */
+  private[graph] def edgesWithin(comp: Array[Int]): Array[Int] = {
+    val out = Array.newBuilder[Int]
+    for (u <- comp) {
+      var s = offsets(u)
+      while (s < offsets(u + 1)) {
+        if (nbr(s) > u && alive(slotEdge(s))) out += slotEdge(s)
+        s += 1
+      }
+    }
+    out.result()
+  }
 }
 
 object LocalGraph {
@@ -81,14 +141,46 @@ object LocalGraph {
       edgeList: Iterable[(Long, Long)],
       extraVertices: Iterable[Long] = Nil
   ): LocalGraph = {
-    val adj = mutable.Map.empty[Long, mutable.Set[Long]]
-    def slot(v: Long) = adj.getOrElseUpdate(v, mutable.Set.empty[Long])
-    extraVertices.foreach(slot)
-    for ((u, v) <- edgeList) {
-      if (u != v) { slot(u) += v; slot(v) += u }
-      else slot(u) // self-loop contributes the vertex only
+    val endpoints = Array.newBuilder[Long]
+    extraVertices.foreach(endpoints += _)
+    // A self-loop contributes its vertex only.
+    edgeList.foreach { case (u, v) => endpoints += u; endpoints += v }
+    val ids = distinctSorted(endpoints.result())
+    def label(v: Long) = Arrays.binarySearch(ids, v)
+
+    // Canonical edges packed as (src label << 32 | dst label): sorting the
+    // packed values sorts them by (src, dst).
+    val packed = distinctSorted(edgeList.iterator.collect {
+      case (u, v) if u != v =>
+        val (a, b) = (label(u), label(v))
+        math.min(a, b).toLong << 32 | math.max(a, b)
+    }.toArray)
+    val m = packed.length
+    val edgeU = packed.map(p => (p >>> 32).toInt)
+    val edgeV = packed.map(p => p.toInt)
+
+    val n = ids.length
+    val offsets = new Array[Int](n + 1)
+    for (e <- 0 until m) { offsets(edgeU(e) + 1) += 1; offsets(edgeV(e) + 1) += 1 }
+    for (v <- 0 until n) offsets(v + 1) += offsets(v)
+    // Edges arrive in (src, dst) order, so every vertex receives its smaller
+    // neighbours (as dst) before its larger ones (as src), each ascending.
+    val fill = offsets.clone()
+    val nbr = new Array[Int](2 * m)
+    val slotEdge = new Array[Int](2 * m)
+    for (e <- 0 until m) {
+      val (u, v) = (edgeU(e), edgeV(e))
+      nbr(fill(u)) = v; slotEdge(fill(u)) = e; fill(u) += 1
+      nbr(fill(v)) = u; slotEdge(fill(v)) = e; fill(v) += 1
     }
-    new LocalGraph(adj.view.mapValues(_.toSet).toMap)
+    new LocalGraph(ids, offsets, nbr, slotEdge, edgeU, edgeV, Array.fill(m)(true), m)
+  }
+
+  private def distinctSorted(xs: Array[Long]): Array[Long] = {
+    Arrays.sort(xs)
+    var k = 0
+    for (i <- xs.indices if i == 0 || xs(i) != xs(i - 1)) { xs(k) = xs(i); k += 1 }
+    Arrays.copyOf(xs, k)
   }
 
   /** Canonical (src < dst) form of an edge. */

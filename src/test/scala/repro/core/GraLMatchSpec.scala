@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.execution.{CoGroupExec, MapGroupsExec}
+
 import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.graph.ConnectedComponents
@@ -40,6 +42,34 @@ class GraLMatchSpec extends SparkSpec {
     val k5 = for (u <- 1L to 5L; v <- (u + 1) to 5L) yield (u, v)
     val out = GraLMatch.cleanupComponent(k5.toSeq, Thresholds(gamma = 25, mu = 5))
     assert(groupsOf(out) == Set((1L to 5L).toSet))
+    // a path has a bridge for BC to take, yet none is removed at |V| = mu
+    val p5 = (1L until 5L).map(i => (i, i + 1))
+    assert(groupsOf(GraLMatch.cleanupComponent(p5, Thresholds(gamma = 5, mu = 5))) ==
+      Set((1L to 5L).toSet))
+  }
+
+  test("no edges and a single edge") {
+    assert(GraLMatch.cleanupComponent(Nil, Thresholds(25, 5)).isEmpty)
+    assert(GraLMatch.cleanupComponent(Seq(2L -> 1L), Thresholds(25, 5)).sorted ==
+      Seq(1L -> 1L, 2L -> 1L))
+  }
+
+  // 6-cycle at mu = 3. BC alone: all edges tie, (1,2) goes, then the middle
+  // edge (4,5) of the path 2-3-4-5-6-1. A min cut first: the first phase
+  // ends on 6 with weight 2, which no later phase beats, so {6} is cut off;
+  // BC then splits the path 1..5 at (2,3), the smaller of its two tied
+  // middle edges.
+  private val cycle6 = (1L to 5L).map(i => (i, i + 1)) :+ (1L -> 6L)
+
+  test("component of exactly gamma gets no min cut") {
+    val out = GraLMatch.cleanupComponent(cycle6, Thresholds(gamma = 6, mu = 3))
+    assert(groupsOf(out) == Set(Set(1L, 5L, 6L), Set(2L, 3L, 4L)))
+    assert(out.sorted == GraLMatch.cleanupComponent(cycle6, Thresholds(100, 3)).sorted)
+  }
+
+  test("component of gamma + 1 gets a min cut before BC") {
+    val out = GraLMatch.cleanupComponent(cycle6, Thresholds(gamma = 5, mu = 3))
+    assert(groupsOf(out) == Set(Set(1L, 2L), Set(3L, 4L, 5L), Set(6L)))
   }
 
   test("three chained K4s split into three groups") {
@@ -94,6 +124,29 @@ class GraLMatchSpec extends SparkSpec {
       Thresholds(25, 5), Some(Seq(1L, 2L, 99L).toDF("id")))
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
     assert(groupsOf(out) == Set(Set(1L, 2L), Set(99L)))
+  }
+
+  private def cleanupRows(edges: Seq[(Long, Long)], assign: Seq[(Long, Long)]) =
+    GraLMatch.cleanup(spark, edges.toDF("src", "dst"), assign.toDF("id", "component"), Thresholds(25, 5))
+
+  test("cleanup with no edges makes every id a singleton") {
+    val out = cleanupRows(Nil, Seq(1L -> 1L, 2L -> 1L, 3L -> 3L))
+      .collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    assert(out.sorted == Seq(1L -> 1L, 2L -> 2L, 3L -> 3L))
+  }
+
+  test("cleanup emits the ids of a component that have no edge as singletons") {
+    val assign = (1L to 8L).map(_ -> 1L) ++ Seq(9L -> 1L, 50L -> 1L)
+    val out = cleanupRows(barbell, assign).collect().map(r => (r.getLong(0), r.getLong(1))).toSeq
+    assert(out.size == 10)
+    assert(groupsOf(out) == Set(
+      Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L), Set(9L), Set(50L)))
+  }
+
+  test("cleanup plans one per-component kernel node") {
+    val plan = cleanupRows(barbell, (1L to 8L).map(_ -> 1L)).queryExecution.sparkPlan
+    val kernels = plan.collect { case p: MapGroupsExec => p; case p: CoGroupExec => p }
+    assert(kernels.size == 1, plan.treeString)
   }
 
   // Groups of one CC pass shared by pre-cleanup and cleanup, checked equal

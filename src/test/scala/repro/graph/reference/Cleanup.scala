@@ -1,0 +1,43 @@
+package repro.graph.reference
+
+import repro.core.GraLMatch.Thresholds
+
+/** Reference implementation, kept as the oracle for
+  * [[repro.core.GraLMatch.cleanupComponent]]: Algorithm 1 on the map-based
+  * [[LocalGraph]], recomputing the components of the whole graph after
+  * every removal.
+  */
+object Cleanup {
+
+  def cleanupComponent(edges: Seq[(Long, Long)], thresholds: Thresholds): Seq[(Long, Long)] = {
+    val maxLocalVertices = 1500
+    var g = LocalGraph.fromEdges(edges)
+    // Components are only ever split, so one within the valve stays within.
+    def over(limit: Int) =
+      g.components.filter(c => c.size > limit && c.size <= maxLocalVertices)
+
+    // Phase 1: minimum edge cut until every subcomponent is <= gamma.
+    var guard = g.numEdges + 1
+    var work = over(thresholds.gamma)
+    while (work.nonEmpty && guard > 0) {
+      val comp = work.head
+      val cut  = MinCut.minimumEdgeCut(g.subgraph(comp))
+      g = g.removeEdges(cut)
+      guard -= math.max(1, cut.size)
+      work = over(thresholds.gamma)
+    }
+
+    // Phase 2: highest-betweenness edge removal until <= mu.
+    guard = g.numEdges + 1
+    var big = over(thresholds.mu)
+    while (big.nonEmpty && guard > 0) {
+      val comp = big.head
+      val e    = Betweenness.maxBetweennessEdge(g.subgraph(comp))
+      g = g.removeEdges(Set(e))
+      guard -= 1
+      big = over(thresholds.mu)
+    }
+
+    g.components.flatMap(c => c.toSeq.map(_ -> c.min))
+  }
+}
