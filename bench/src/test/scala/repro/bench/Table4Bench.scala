@@ -19,7 +19,7 @@ import repro.exp.Experiments.GroupMatchRow
 class Table4Bench extends SparkSpec {
 
   private lazy val s = BenchSession.session
-  private lazy val allRows: Seq[GroupMatchRow] = s.table4Rows(includeSensitivity = true)
+  private lazy val allRows: Seq[GroupMatchRow] = s.table4Rows()
   private lazy val rows: Map[(String, String), GroupMatchRow] =
     allRows.map(r => (r.dataset, r.model) -> r).toMap
 

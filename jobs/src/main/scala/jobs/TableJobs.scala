@@ -45,7 +45,7 @@ object Table3Job {
 object Table4Job {
   def main(args: Array[String]): Unit = {
     val s = TableJobs.session()
-    println(s.table4Text(s.table4Rows(includeSensitivity = true)))
+    println(s.table4Text(s.table4Rows()))
     s.spark.stop()
   }
 }

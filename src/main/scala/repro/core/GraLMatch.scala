@@ -31,6 +31,7 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
 object GraLMatch {
 
   final case class Thresholds(gamma: Int, mu: Int) {
+    require(mu >= 1, s"mu ($mu) must be >= 1")
     require(gamma >= mu, s"gamma ($gamma) must be >= mu ($mu)")
   }
 
@@ -39,35 +40,28 @@ object GraLMatch {
     * subcomponent). The edges may span several connected components; each
     * is cleaned independently. Exposed for testing.
     *
-    * @param maxLocalVertices safety valve: connected components of `edges`
-    *                         larger than this are returned unsplit (the Pre
-    *                         Graph Cleanup is responsible for keeping
-    *                         components tractable); smaller ones in the
-    *                         same call are still cleaned
+    * Termination is checked: every step must remove an alive edge (a cut of
+    * a connected component of ≥ 2 vertices is never empty, and the BC
+    * argmax is an alive edge), so both phases end within `edges.size` steps.
     */
-  def cleanupComponent(
-      edges: Seq[(Long, Long)],
-      thresholds: Thresholds,
-      maxLocalVertices: Int = 1500
-  ): Seq[(Long, Long)] = {
+  def cleanupComponent(edges: Seq[(Long, Long)], thresholds: Thresholds): Seq[(Long, Long)] = {
     var g = LocalGraph.fromEdges(edges)
     val all = Array.range(0, g.numVertices)
 
     // Removes `step`'s edges from the component with the smallest minimum
-    // vertex among those over `limit` (and within the valve) until none is
-    // left, re-splitting only the component that lost edges. Components are
-    // only ever split, so one within the valve stays within.
+    // vertex among those over `limit` until none is left, re-splitting only
+    // the component that lost edges.
     def phase(limit: Int, step: Array[Int] => Array[Int]): Unit = {
       val work = new java.util.TreeMap[Int, Array[Int]] // by smallest member
       def enqueue(cs: Seq[Array[Int]]): Unit =
-        for (c <- cs if c.length > limit && c.length <= maxLocalVertices) work.put(c(0), c)
+        for (c <- cs if c.length > limit) work.put(c(0), c)
       enqueue(g.componentsWithin(all))
-      var guard = g.numEdges + 1
-      while (!work.isEmpty && guard > 0) {
+      while (!work.isEmpty) {
         val comp = work.pollFirstEntry().getValue
-        val removed = step(comp)
-        g = g.withoutEdges(removed)
-        guard -= math.max(1, removed.length)
+        val next = g.withoutEdges(step(comp))
+        require(next.numEdges < g.numEdges,
+          s"Algorithm 1 removed no edge from a component of ${comp.length} vertices")
+        g = next
         enqueue(g.componentsWithin(comp))
       }
     }

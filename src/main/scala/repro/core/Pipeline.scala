@@ -12,27 +12,33 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * Graph Cleanup → entity groups, with the three evaluation stages of
   * §5.3.2 snapshotted along the way.
   *
-  * Connected components are computed once per run, at stage 2. Pre Graph
+  * [[predict]] runs stages 1–2 and [[cleanup]] stage 3, so one prediction
+  * can be cleaned at several γ/μ (Table 4's sensitivity rows). Connected
+  * components are computed once per prediction, at stage 2. Pre Graph
   * Cleanup and GraLMatch only delete edges, so every final group lies
   * inside a stage-2 component: both reuse that assignment
-  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]) instead of running their
-  * own pass.
+  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]).
   */
 object Pipeline {
 
   final case class StageScores(scores: Metrics.PairScores, clusterPurity: Double)
 
-  final case class Result(
-      nCandidates: Long,
-      nPositive: Long,
-      pairwise: Metrics.PairScores,       // stage 1: positive predictions
-      preCleanup: StageScores,            // stage 2: transitive closure
-      postCleanup: StageScores,           // stage 3: after GraLMatch
-      inferenceSeconds: Double,
-      groups: DataFrame                   // final (id, group) assignment, cached
-  )
+  /** Stages 1–2 over `records`: the counts, the stage-1 (`pairwise`) and
+    * stage-2 (`preCleanup`) scores, the cached positive predictions
+    * `(src, dst, blockings)` and their stage-2 `(id, component)` assignment.
+    */
+  final case class Prediction(
+      records: DataFrame, nCandidates: Long, nPositive: Long,
+      pairwise: Metrics.PairScores, preCleanup: StageScores, inferenceSeconds: Double,
+      positives: DataFrame, assign: DataFrame)
 
-  /** Runs the matching on one dataset.
+  /** A cleaned prediction: the stage-3 scores and the final `(id, group)`
+    * assignment, cached.
+    */
+  final case class Result(prediction: Prediction, postCleanup: StageScores, groups: DataFrame)
+
+  /** Stages 1–2: scores the candidates and takes the connected components
+    * of the positive predictions.
     *
     * @param records      records with `recordId`, `entityId` + model columns
     * @param candidates   blocking output `(src, dst, blocking)`
@@ -40,20 +46,11 @@ object Pipeline {
     * @param schema       which record columns the model serializes
     * @param scheme       serialization scheme of the model variant
     * @param tokenBudget  max tokens of a serialized pair
-    * @param thresholds   Algorithm 1's γ/μ
-    * @param preCleanupMax components larger than this lose token-only edges
     */
-  def run(
-      spark: SparkSession,
-      records: DataFrame,
-      candidates: DataFrame,
-      model: LogisticModel,
-      schema: RecordSchema,
-      scheme: Serializer.Scheme,
-      tokenBudget: Int,
-      thresholds: GraLMatch.Thresholds,
-      preCleanupMax: Int = 50
-  ): Result = {
+  def predict(
+      spark: SparkSession, records: DataFrame, candidates: DataFrame, model: LogisticModel,
+      schema: RecordSchema, scheme: Serializer.Scheme, tokenBudget: Int
+  ): Prediction = {
     // one row per pair, provenance aggregated
     val pairs = candidates
       .groupBy("src", "dst")
@@ -70,29 +67,47 @@ object Pipeline {
       .cache()
     val nPositive = positives.count()
     val inferenceSeconds = (System.nanoTime() - t0) / 1e9
+    // positives is materialized; nothing reads the pairs again
+    pairs.unpersist()
 
     val pairwise = Metrics.scorePairs(positives, records)
 
     val allIds = records.select(col("recordId").as("id"))
 
     // ---- stage 2: transitive closure of raw predictions ---------------
-    // the run's only connected-components pass; stage 3 reuses it
-    val preAssign = ConnectedComponents
+    // the prediction's only connected-components pass; stage 3 reuses it
+    val assign = ConnectedComponents
       .run(spark, positives.select("src", "dst"), Some(allIds))
-    val (preScores, prePurity) = Metrics.scoreGroups(preAssign, records)
+    val (preScores, prePurity) = Metrics.scoreGroups(assign, records)
 
-    // ---- stage 3: Pre Graph Cleanup + GraLMatch -----------------------
-    val kept = PreCleanup.keep(positives, preAssign, preCleanupMax)
-    val groups = GraLMatch.cleanup(spark, kept, preAssign, thresholds).cache()
-    val (postScores, postPurity) = Metrics.scoreGroups(groups, records)
-    positives.unpersist()
-    pairs.unpersist()
+    Prediction(records, nCandidates, nPositive, pairwise,
+      StageScores(preScores, prePurity), inferenceSeconds, positives, assign)
+  }
 
-    Result(
-      nCandidates, nPositive, pairwise,
-      StageScores(preScores, prePurity),
-      StageScores(postScores, postPurity),
-      inferenceSeconds,
-      groups)
+  /** Stage 3: Pre Graph Cleanup, then GraLMatch at `thresholds` (Algorithm
+    * 1's γ/μ). Leaves `p.positives` cached, so `p` can be cleaned again.
+    */
+  def cleanup(p: Prediction, thresholds: GraLMatch.Thresholds): Result = {
+    val kept = PreCleanup.keep(p.positives, p.assign, PreCleanup.MaxComponent)
+    val groups = GraLMatch.cleanup(p.positives.sparkSession, kept, p.assign, thresholds).cache()
+    val (postScores, postPurity) = Metrics.scoreGroups(groups, p.records)
+    Result(p, StageScores(postScores, postPurity), groups)
+  }
+
+  /** [[predict]], then [[cleanup]]; the result's prediction is unpersisted. */
+  def run(
+      spark: SparkSession,
+      records: DataFrame,
+      candidates: DataFrame,
+      model: LogisticModel,
+      schema: RecordSchema,
+      scheme: Serializer.Scheme,
+      tokenBudget: Int,
+      thresholds: GraLMatch.Thresholds
+  ): Result = {
+    val p = predict(spark, records, candidates, model, schema, scheme, tokenBudget)
+    val res = cleanup(p, thresholds)
+    p.positives.unpersist()
+    res
   }
 }

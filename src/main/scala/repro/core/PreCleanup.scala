@@ -13,13 +13,15 @@ import repro.graph.ConnectedComponents
   * Algorithm 1's edge-removal techniques are too slow on those. Before the
   * GraLMatch cleanup, all positively predicted matches whose *only* blocking
   * provenance is Token Overlap are removed from connected components larger
-  * than `maxComponent` (50 in the paper) records.
+  * than [[MaxComponent]] (50, as in the paper) records.
   *
   * The components are those of the raw predictions (the pipeline's stage-2
   * assignment), so [[Pipeline]] passes its own assignment to [[keep]]
   * instead of computing them again.
   */
 object PreCleanup {
+
+  val MaxComponent = 50
 
   /** Pre-cleanup of a prediction graph: its connected components, then
     * [[keep]].
@@ -31,7 +33,7 @@ object PreCleanup {
   def run(
       spark: SparkSession,
       edges: DataFrame,
-      maxComponent: Int = 50
+      maxComponent: Int = MaxComponent
   ): DataFrame =
     keep(edges, ConnectedComponents.run(spark, edges.select("src", "dst")), maxComponent)
 

@@ -3,7 +3,8 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
-import repro.matcher.ModelZoo.{ModelVariant, TrainedModel}
+import repro.core.GraLMatch.Thresholds
+import repro.matcher.ModelZoo.{distilBert128All, ModelVariant, TrainedModel}
 
 /** One experiment session: builds each dataset once, trains each
   * (dataset, variant) once, and renders the paper-vs-measured text for
@@ -34,8 +35,6 @@ final class ExpSession(val spark: SparkSession) {
   // ----------------------------------------------------------------------
   // table rendering
   // ----------------------------------------------------------------------
-
-  private def pc(v: Double): String = f"${v * 100}%6.2f"
 
   def table1Text(): String = {
     val sb = new StringBuilder
@@ -87,27 +86,20 @@ final class ExpSession(val spark: SparkSession) {
     sb.result()
   }
 
-  /** The Table 4 sensitivity variants on synthetic companies (§5.2.1). */
-  def sensitivityRows(): Seq[GroupMatchRow] = {
-    val ds = syntheticCompaniesDs
-    val (all, _) = trained(ds, repro.matcher.ModelZoo.distilBert128All)
-    Seq(
-      groupMatch(spark, ds, all, Some("DistilBERT (128)-ALL-MEC"),
-        gammaOverride = Some(ds.mu)),
-      groupMatch(spark, ds, all, Some("DistilBERT (128)-ALL (1/2 gamma)"),
-        gammaOverride = Some(ds.gamma / 2)),
-      groupMatch(spark, ds, all, Some("DistilBERT (128)-ALL-BC"),
-        gammaOverride = Some(Int.MaxValue / 2))
-    )
-  }
+  /** One prediction per (dataset, variant), cleaned at the dataset's γ/μ
+    * and, for Synthetic Companies DistilBERT (128)-ALL, at §5.2.1's variants.
+    */
+  def table4Rows(): Seq[GroupMatchRow] =
+    for (ds <- allDatasets; v <- ds.variants;
+         row <- groupMatch(spark, ds, trained(ds, v)._1, thresholdRows(ds, v))) yield row
 
-  def table4Rows(includeSensitivity: Boolean = true): Seq[GroupMatchRow] =
-    allDatasets.flatMap { ds =>
-      val rows = ds.variants.map(v => groupMatch(spark, ds, trained(ds, v)._1))
-      if (includeSensitivity && ds.name == "Synthetic Companies")
-        rows ++ sensitivityRows()
-      else rows
-    }
+  private def thresholdRows(ds: Built, v: ModelVariant): Seq[(String, Thresholds)] =
+    (v.name -> Thresholds(ds.gamma, ds.mu)) +: (
+      if (ds.name != "Synthetic Companies" || v != distilBert128All) Nil
+      else Seq(
+        "DistilBERT (128)-ALL-MEC"         -> Thresholds(ds.mu, ds.mu),
+        "DistilBERT (128)-ALL (1/2 gamma)" -> Thresholds(ds.gamma / 2, ds.mu),
+        "DistilBERT (128)-ALL-BC"          -> Thresholds(Int.MaxValue / 2, ds.mu)))
 
   def table4Text(rows: Seq[GroupMatchRow]): String = {
     val sb = new StringBuilder

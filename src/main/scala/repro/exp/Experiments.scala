@@ -71,7 +71,7 @@ object Experiments {
 
   private def companyBuilt(
       name: String, data: EmDatasets.EmData, gamma: Int, mu: Int,
-      pipelineOnTest: Boolean, topN: Int, variants: DataFrame => Seq[ModelVariant]
+      pipelineOnTest: Boolean, variants: DataFrame => Seq[ModelVariant]
   ): Built = {
     val companies  = withSplit(data.companies.toDF()).cache()
     val securities = data.securities.toDF().cache()
@@ -84,7 +84,7 @@ object Experiments {
       Seq("issuerRecordId"), "left_semi")
     val cands = Blocking.combine(
       IdOverlapBlocking.companyCandidates(pipeline, secsOfPipeline),
-      TokenOverlapBlocking.candidates(pipeline, "name", topN = topN, maxDocFreq = 500))
+      TokenOverlapBlocking.candidates(pipeline, "name", topN = 5, maxDocFreq = 500))
     val idPairsFull = IdOverlapBlocking.companyCandidates(companies, securities)
       .select("src", "dst")
     Built(name, companies, RecordSchema.Companies, pipeline, cands.cache(),
@@ -116,23 +116,22 @@ object Experiments {
       idPairsFull.cache(), gamma, mu, variants(securities))
   }
 
-  private def threeModels(records: DataFrame): Seq[ModelVariant] =
-    Seq(ditto128, ditto256, distilBert128All)
+  private def threeModels: Seq[ModelVariant] = Seq(ditto128, ditto256, distilBert128All)
 
   private def fourModels(records: DataFrame): Seq[ModelVariant] =
     Seq(ditto128, ditto256, distilBert128_15K(cap15k(records)), distilBert128All)
 
   def realCompanies(spark: SparkSession): Built =
     companyBuilt("Real Companies", EmDatasets.generate(spark, realParams),
-      gamma = 40, mu = 8, pipelineOnTest = false, topN = 5, threeModels)
+      gamma = 40, mu = 8, pipelineOnTest = false, _ => threeModels)
 
   def syntheticCompanies(spark: SparkSession): Built =
     companyBuilt("Synthetic Companies", EmDatasets.generate(spark, syntheticParams),
-      gamma = 25, mu = 5, pipelineOnTest = true, topN = 5, fourModels)
+      gamma = 25, mu = 5, pipelineOnTest = true, fourModels)
 
   def realSecurities(spark: SparkSession): Built =
     securityBuilt("Real Securities", EmDatasets.generate(spark, realParams),
-      gamma = 40, mu = 8, pipelineOnTest = false, threeModels)(spark)
+      gamma = 40, mu = 8, pipelineOnTest = false, _ => threeModels)(spark)
 
   def syntheticSecurities(spark: SparkSession): Built =
     securityBuilt("Synthetic Securities", EmDatasets.generate(spark, syntheticParams),
@@ -146,7 +145,7 @@ object Experiments {
       .withColumn("src", lit(0L)).withColumn("dst", lit(0L))
       .select("src", "dst").limit(0)
     Built("WDC Products", products, RecordSchema.Products, pipeline, cands.cache(),
-      empty, gamma = 25, mu = 5, Seq(ditto128, ditto256, distilBert128All),
+      empty, gamma = 25, mu = 5, threeModels,
       cornerNegatives = true)
   }
 
@@ -213,23 +212,21 @@ object Experiments {
       pairwise: Metrics.PairScores,
       pre: Pipeline.StageScores,
       post: Pipeline.StageScores,
-      inferenceSeconds: Double,
-      nCandidates: Long)
+      inferenceSeconds: Double)
 
+  /** One Table-4 row per `(row label, thresholds)`, all from one prediction. */
   def groupMatch(
       spark: SparkSession, ds: Built, trained: TrainedModel,
-      modelLabel: Option[String] = None,
-      gammaOverride: Option[Int] = None, muOverride: Option[Int] = None
-  ): GroupMatchRow = {
-    val g = gammaOverride.getOrElse(ds.gamma)
-    val m = muOverride.getOrElse(ds.mu)
-    val res = Pipeline.run(
+      thresholds: Seq[(String, GraLMatch.Thresholds)]
+  ): Seq[GroupMatchRow] = {
+    val p = Pipeline.predict(
       spark, ds.pipelineRecords, ds.candidates, trained.model, ds.schema,
-      trained.variant.scheme, trained.variant.tokenBudget,
-      GraLMatch.Thresholds(g, m))
-    GroupMatchRow(ds.name, modelLabel.getOrElse(trained.variant.name),
-      res.pairwise, res.preCleanup, res.postCleanup, res.inferenceSeconds,
-      res.nCandidates)
+      trained.variant.scheme, trained.variant.tokenBudget)
+    try thresholds.map { case (label, th) =>
+      val res = Pipeline.cleanup(p, th)
+      res.groups.unpersist()
+      GroupMatchRow(ds.name, label, p.pairwise, p.preCleanup, res.postCleanup, p.inferenceSeconds)
+    } finally p.positives.unpersist()
   }
 
   // ----------------------------------------------------------------------

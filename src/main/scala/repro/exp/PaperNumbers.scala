@@ -101,6 +101,4 @@ object PaperNumbers {
     "Synthetic Securities" -> T2("ID Overlap + Issuer Match", "197K", "826K", 25, 5),
     "WDC Products"         -> T2("Token Overlap", "1K", "9.1K", 25, 5)
   )
-
-  def pct(v: Double): String = f"${v * 100}%6.2f"
 }

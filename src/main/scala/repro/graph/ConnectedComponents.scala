@@ -21,6 +21,8 @@ import org.apache.spark.sql.functions._
   */
 object ConnectedComponents {
 
+  private val MaxIter = 100 // rounds; O(log n) are needed
+
   /** Computes connected components.
     *
     * @param edges    DataFrame with `src`/`dst` Long columns (undirected;
@@ -33,8 +35,7 @@ object ConnectedComponents {
   def run(
       spark: SparkSession,
       edges: DataFrame,
-      vertices: Option[DataFrame] = None,
-      maxIter: Int = 100
+      vertices: Option[DataFrame] = None
   ): DataFrame = {
     import spark.implicits._
 
@@ -63,7 +64,7 @@ object ConnectedComponents {
     // predecessor sum to compare with.
     var labelSum: Option[java.math.BigDecimal] = None
 
-    while (!converged && iter < maxIter) {
+    while (!converged && iter < MaxIter) {
       val nbrMin = sym
         .join(assign, $"b" === $"id")
         .groupBy($"a")
@@ -89,7 +90,7 @@ object ConnectedComponents {
       labelSum = Some(total)
       iter += 1
     }
-    require(converged, s"connected components did not converge in $maxIter iterations")
+    require(converged, s"connected components did not converge in $MaxIter iterations")
     assign.select($"id", $"comp".as("component"))
   }
 }

@@ -86,19 +86,6 @@ class GraLMatchSpec extends SparkSpec {
     assert(groupsOf(out).forall(_.size <= 5))
   }
 
-  test("maxLocalVertices safety valve returns the component unsplit") {
-    val out = GraLMatch.cleanupComponent(barbell, Thresholds(25, 5), maxLocalVertices = 4)
-    assert(groupsOf(out) == Set((1L to 8L).toSet))
-  }
-
-  test("maxLocalVertices applies to each local component, not the whole input") {
-    val shifted = barbell.map { case (a, b) => (a + 100, b + 100) }
-    val out = GraLMatch.cleanupComponent(barbell ++ shifted, Thresholds(25, 5), maxLocalVertices = 8)
-    assert(groupsOf(out) == Set(
-      Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L),
-      Set(101L, 102L, 103L, 104L), Set(105L, 106L, 107L, 108L)))
-  }
-
   test("all vertices of the input are assigned exactly once") {
     val out = GraLMatch.cleanupComponent(barbell, Thresholds(5, 5))
     assert(out.map(_._1).sorted == (1L to 8L))
@@ -186,6 +173,13 @@ class GraLMatchSpec extends SparkSpec {
 
   test("thresholds require gamma >= mu") {
     intercept[IllegalArgumentException] { Thresholds(gamma = 3, mu = 5) }
+  }
+
+  test("thresholds require mu >= 1") {
+    intercept[IllegalArgumentException] { Thresholds(gamma = 5, mu = 0) }
+    intercept[IllegalArgumentException] { Thresholds(gamma = 0, mu = 0) }
+    assert(groupsOf(GraLMatch.cleanupComponent(barbell, Thresholds(1, 1))) ==
+      (1L to 8L).map(Set(_)).toSet)
   }
 
   test("phase-1 min cut handles dense pair joined by two false edges") {

@@ -29,25 +29,47 @@ class PipelineSpec extends SparkSpec {
     (secs, cands, model)
   }
 
-  private lazy val result = {
+  private def run(th: GraLMatch.Thresholds): Pipeline.Result = {
     val (secs, cands, model) = fixtures
-    Pipeline.run(spark, secs, cands, model, RecordSchema.Securities,
-      Serializer.Plain, 128, GraLMatch.Thresholds(gamma = 25, mu = 5))
+    Pipeline.run(spark, secs, cands, model, RecordSchema.Securities, Serializer.Plain, 128, th)
+  }
+
+  private lazy val result = run(GraLMatch.Thresholds(gamma = 25, mu = 5))
+
+  private lazy val prediction = {
+    val (secs, cands, model) = fixtures
+    Pipeline.predict(spark, secs, cands, model, RecordSchema.Securities, Serializer.Plain, 128)
+  }
+
+  private def groups(r: Pipeline.Result) = r.groups.as[(Long, Long)].collect().sorted.toSeq
+
+  // same groups and scores; the purity sum may differ in the last bits
+  private def assertSame(a: Pipeline.Result, b: Pipeline.Result): Unit = {
+    assert(groups(a) == groups(b))
+    val (p, q) = (a.prediction, b.prediction)
+    assert((p.nCandidates, p.nPositive, p.pairwise) == (q.nCandidates, q.nPositive, q.pairwise))
+    for ((x, y) <- Seq(p.preCleanup -> q.preCleanup, a.postCleanup -> b.postCleanup)) {
+      assert(x.scores == y.scores)
+      assert(math.abs(x.clusterPurity - y.clusterPurity) < 1e-12)
+    }
   }
 
   test("pipeline produces candidates and positive predictions") {
-    assert(result.nCandidates > 0)
-    assert(result.nPositive > 0)
-    assert(result.nPositive <= result.nCandidates)
+    val p = result.prediction
+    assert(p.nCandidates > 0)
+    assert(p.nPositive > 0)
+    assert(p.nPositive <= p.nCandidates)
   }
 
   test("pairwise stage finds most true matches (plain scheme sees ids)") {
-    assert(result.pairwise.precision > 0.8, s"precision ${result.pairwise.precision}")
-    assert(result.pairwise.recall > 0.4, s"recall ${result.pairwise.recall}")
+    val pairwise = result.prediction.pairwise
+    assert(pairwise.precision > 0.8, s"precision ${pairwise.precision}")
+    assert(pairwise.recall > 0.4, s"recall ${pairwise.recall}")
   }
 
   test("post-cleanup precision is at least pre-cleanup precision") {
-    assert(result.postCleanup.scores.precision >= result.preCleanup.scores.precision - 1e-9)
+    val pre = result.prediction.preCleanup
+    assert(result.postCleanup.scores.precision >= pre.scores.precision - 1e-9)
   }
 
   test("every record is assigned to exactly one group") {
@@ -68,10 +90,24 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("inference time is measured") {
-    assert(result.inferenceSeconds > 0.0)
+    assert(result.prediction.inferenceSeconds > 0.0)
   }
 
   test("stage-2 recall >= stage-1 recall (transitive closure adds matches)") {
-    assert(result.preCleanup.scores.recall >= result.pairwise.recall - 1e-9)
+    val p = result.prediction
+    assert(p.preCleanup.scores.recall >= p.pairwise.recall - 1e-9)
+  }
+
+  test("run equals cleanup of predict") {
+    assertSame(Pipeline.cleanup(prediction, GraLMatch.Thresholds(25, 5)), result)
+  }
+
+  test("one prediction cleaned at two thresholds equals two runs") {
+    // (5, 5) cleans this fixture exactly as (25, 5) does; mu = 2 does not
+    val loose = Pipeline.cleanup(prediction, GraLMatch.Thresholds(25, 5))
+    val tight = Pipeline.cleanup(prediction, GraLMatch.Thresholds(5, 2))
+    assert(groups(loose) != groups(tight))
+    assertSame(loose, result)
+    assertSame(tight, run(GraLMatch.Thresholds(5, 2)))
   }
 }
