@@ -105,8 +105,10 @@ object GraLMatch {
   ): DataFrame = {
     import spark.implicits._
 
-    val e = edges.select(col("src").cast("long"), col("dst").cast("long")).distinct()
-    val edgesByComp = e
+    // Parallel and reversed edges reach the kernel, whose LocalGraph
+    // collapses them.
+    val edgesByComp = edges
+      .select(col("src").cast("long"), col("dst").cast("long"))
       .join(assign.withColumnRenamed("id", "src"), "src")
       .select(col("component"), col("src"), col("dst"))
       .as[(Long, Long, Long)]

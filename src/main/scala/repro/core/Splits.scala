@@ -20,6 +20,12 @@ object Splits {
   val Val   = 1
   val Test  = 2
 
+  /** Negatives sampled per positive training pair (paper §5.1.3). */
+  private val NegRatio = 5
+
+  /** Share of WDC negatives drawn from sibling entities (paper §5.1.4). */
+  private val HardShare = 0.8
+
   /** Deterministic split of an entity id: 0 train / 1 val / 2 test. */
   def splitOf(entityId: Long, seed: Long): Int = {
     val h = scala.util.hashing.MurmurHash3.productHash((entityId, seed))
@@ -68,12 +74,17 @@ object Splits {
       .withColumn("label", lit(0))
   }
 
-  /** Positive + 5:1 negative labeled pairs for one split's records. */
-  def labeledPairs(records: DataFrame, negRatio: Int = 5, seed: Long = 31L): DataFrame = {
-    val pos = positivePairs(records).cache()
-    val nPos = pos.count()
-    pos.unionByName(negativePairs(records, negRatio * nPos, seed))
+  /** Caches and counts the positive pairs `pos`, then adds
+    * `negatives(NegRatio × that count)`.
+    */
+  private def withNegatives(pos: DataFrame)(negatives: Long => DataFrame): DataFrame = {
+    val cached = pos.cache()
+    cached.unionByName(negatives(NegRatio * cached.count()))
   }
+
+  /** Positive + 5:1 negative labeled pairs for one split's records. */
+  def labeledPairs(records: DataFrame, seed: Long = 31L): DataFrame =
+    withNegatives(positivePairs(records))(negativePairs(records, _, seed))
 
   /** Corner-case negatives (WDC Products, paper §5.1.4: "80% corner
     * cases"): most negatives are drawn from *sibling entities of the same
@@ -84,8 +95,7 @@ object Splits {
       records: DataFrame,
       nNeg: Long,
       seed: Long,
-      familyExpr: org.apache.spark.sql.Column,
-      hardShare: Double = 0.8
+      familyExpr: org.apache.spark.sql.Column
   ): DataFrame = {
     val base = records.select(col("recordId"), col("entityId"), familyExpr.as("family"))
     val a = base.select(col("recordId").as("src"), col("entityId").as("eA"), col("family"))
@@ -93,7 +103,7 @@ object Splits {
     val hardAll = a.join(b, "family")
       .where(col("eA") =!= col("eB") && col("src") < col("dst"))
       .select("src", "dst").distinct()
-    val nHard = (nNeg * hardShare).toLong
+    val nHard = (nNeg * HardShare).toLong
     val hard = hardAll
       .withColumn("rk", row_number().over(Window.orderBy(hash(col("src"), col("dst"), lit(seed)))))
       .where(col("rk") <= nHard)
@@ -109,13 +119,9 @@ object Splits {
   def cornerLabeledPairs(
       records: DataFrame,
       familyExpr: org.apache.spark.sql.Column,
-      negRatio: Int = 5,
       seed: Long = 31L
-  ): DataFrame = {
-    val pos = positivePairs(records).cache()
-    val nPos = pos.count()
-    pos.unionByName(cornerNegativePairs(records, negRatio * nPos, seed, familyExpr))
-  }
+  ): DataFrame =
+    withNegatives(positivePairs(records))(cornerNegativePairs(records, _, seed, familyExpr))
 
   /** Entities whose records can *all* be matched via identifier overlaps:
     * the identifier-overlap graph restricted to the entity's records is
@@ -157,17 +163,13 @@ object Splits {
       records: DataFrame,
       idPairs: DataFrame,
       maxPositives: Int,
-      negRatio: Int = 5,
       seed: Long = 31L
   ): DataFrame = {
     val clean = idConnectedEntities(spark, records, idPairs)
-    val cleanRecords = records.join(clean, "entityId")
-    val pos = positivePairs(cleanRecords)
+    val pos = positivePairs(records.join(clean, "entityId"))
       .withColumn("rk", row_number().over(Window.orderBy(col("src"), col("dst"))))
       .where(col("rk") <= maxPositives)
       .select("src", "dst", "label")
-      .cache()
-    val nPos = pos.count()
-    pos.unionByName(negativePairs(records, negRatio * nPos, seed))
+    withNegatives(pos)(negativePairs(records, _, seed))
   }
 }

@@ -48,17 +48,18 @@ object WdcGen {
     "RGB", "4K", "1080p", "USB-C", "Bluetooth", "Wired"
   )
 
-  final case class WdcParams(
-      nFamilies: Int,
-      cornerCaseShare: Double = 0.8,
-      maxGroupSize: Int = 12,
-      seed: Long = 29L
-  )
+  /** Share of product families with sibling entities (the corner cases). */
+  private val CornerCaseShare = 0.8
 
-  private def groupSize(rng: Random, maxSize: Int): Int = {
+  /** Largest number of offers of one product. */
+  private val MaxGroupSize = 12
+
+  final case class WdcParams(nFamilies: Int, seed: Long = 29L)
+
+  private def groupSize(rng: Random): Int = {
     // heterogeneous, heavy at small sizes: 1 + geometric(0.35), capped
     var k = 1
-    while (k < maxSize && rng.nextDouble() < 0.65) k += 1
+    while (k < MaxGroupSize && rng.nextDouble() < 0.65) k += 1
     k
   }
 
@@ -91,13 +92,13 @@ object WdcGen {
     val prefix   = ModelPrefixes(rng.nextInt(ModelPrefixes.size))
     val baseNum  = 100 + rng.nextInt(800)
     val variant  = Variants(rng.nextInt(Variants.size))
-    val corner   = rng.nextDouble() < p.cornerCaseShare
+    val corner   = rng.nextDouble() < CornerCaseShare
     val nSiblings = if (corner) 2 + rng.nextInt(2) else 1
 
     (0 until nSiblings).flatMap { sib =>
       val entityId = famIdx * 4 + sib
       val model    = s"$prefix${baseNum + sib * 10}"
-      val k        = groupSize(rngFor(p.seed, famIdx, 2L, sib.toLong), p.maxGroupSize)
+      val k        = groupSize(rngFor(p.seed, famIdx, 2L, sib.toLong))
       (0 until k).map { r =>
         val rRng = rngFor(p.seed, famIdx, 3L, sib.toLong, r.toLong)
         val recordId = entityId * 16 + r

@@ -16,8 +16,11 @@ import org.apache.spark.sql.functions._
   * (label := label(label)), which brings convergence to O(log n) rounds on
   * path-like graphs instead of O(diameter). Each round is pure Catalyst
   * dataflow (joins + aggregations); lineage is truncated per round with a
-  * local checkpoint. The loop stops at the first round that leaves the sum
-  * of all labels unchanged.
+  * lazy local checkpoint. The loop stops at the first round that leaves the
+  * sum of all labels unchanged; that `sum` is the round's one Spark action
+  * and also materializes the checkpoint. The symmetric edge list and the
+  * initial labels keep eager checkpoints: `sym`'s first action, `isEmpty`,
+  * reads only part of it, so a lazy one would not be fully materialized.
   */
 object ConnectedComponents {
 
@@ -82,8 +85,10 @@ object ConnectedComponents {
       val jumped = step
         .join(lookup, step("comp") === lookup("cid"), "left")
         .select(step("id"), coalesce($"ccomp", step("comp")).as("comp"))
-        .localCheckpoint(true)
+        .localCheckpoint(false)
 
+      // The one action of the round: it scans every partition, so it also
+      // materializes the lazy checkpoint.
       val total = jumped.agg(sum($"comp".cast("decimal(38,0)"))).head().getDecimal(0)
       assign = jumped
       converged = labelSum.contains(total)

@@ -49,34 +49,12 @@ final class LocalGraph private (
     else (offsets(i) until offsets(i + 1)).collect { case s if alive(slotEdge(s)) => ids(nbr(s)) }.toSet
   }
 
-  def degree(v: Long): Int = neighbors(v).size
-
   /** Connected components via BFS; deterministic order (by smallest member). */
   def components: Seq[Set[Long]] =
     componentsWithin(Array.range(0, numVertices)).map(_.iterator.map(ids).toSet)
 
-  /** Induced subgraph on `vs` (keeps isolated members of `vs`). */
-  def subgraph(vs: Set[Long]): LocalGraph =
-    LocalGraph.fromEdges(edges.filter { case (u, v) => vs(u) && vs(v) }, vs)
-
-  /** Graph with the given edges (either endpoint order) removed; vertices
-    * are kept.
-    */
-  def removeEdges(toRemove: Set[(Long, Long)]): LocalGraph =
-    withoutEdges(toRemove.iterator.flatMap { case (u, v) => edgeNumber(u, v) }.toArray)
-
   def isConnected: Boolean =
     numVertices <= 1 || componentsWithin(Array.range(0, numVertices)).size == 1
-
-  private def edgeNumber(u: Long, v: Long): Option[Int] = {
-    val a = Arrays.binarySearch(ids, u)
-    val b = Arrays.binarySearch(ids, v)
-    if (a < 0 || b < 0) None
-    else {
-      val s = Arrays.binarySearch(nbr, offsets(a), offsets(a + 1), b)
-      if (s < 0 || !alive(slotEdge(s))) None else Some(slotEdge(s))
-    }
-  }
 
   /** The graph without the given edge numbers (already-removed ones are
     * ignored).
@@ -182,7 +160,4 @@ object LocalGraph {
     for (i <- xs.indices if i == 0 || xs(i) != xs(i - 1)) { xs(k) = xs(i); k += 1 }
     Arrays.copyOf(xs, k)
   }
-
-  /** Canonical (src < dst) form of an edge. */
-  def canonical(u: Long, v: Long): (Long, Long) = if (u < v) (u, v) else (v, u)
 }

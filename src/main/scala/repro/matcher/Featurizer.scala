@@ -24,8 +24,6 @@ object Featurizer {
     "prefixSim"         // char-4-gram jaccard of the first 6 tokens
   )
 
-  val NumFeatures: Int = FeatureNames.size
-
   private def ngrams(s: String, n: Int): Set[String] =
     if (s.length < n) Set(s) else (0 to s.length - n).map(i => s.substring(i, i + n)).toSet
 

@@ -17,27 +17,19 @@ final case class LogisticModel(weights: Array[Double], bias: Double) {
     while (i < weights.length) { z += weights(i) * features(i); i += 1 }
     1.0 / (1.0 + math.exp(-z))
   }
-
-  def predict(features: Array[Double], threshold: Double = 0.5): Boolean =
-    score(features) >= threshold
 }
 
 object LogisticModel {
 
-  /** Trains on a dense feature matrix with {0,1} labels.
-    *
-    * @param classWeightPos weight multiplier for positive examples (the 5:1
-    *                       negative sampling of the paper is partially
-    *                       rebalanced so positives are not drowned)
-    */
-  def train(
-      features: Array[Array[Double]],
-      labels: Array[Int],
-      epochs: Int = 300,
-      learningRate: Double = 2.0,
-      l2: Double = 1e-4,
-      classWeightPos: Double = 2.0
-  ): LogisticModel = {
+  private val Epochs       = 300
+  private val LearningRate = 2.0
+  private val L2           = 1e-4
+  // Weight of a positive example: the 5:1 negative sampling of the paper is
+  // partially rebalanced so positives are not drowned.
+  private val ClassWeightPos = 2.0
+
+  /** Trains on a dense feature matrix with {0,1} labels. */
+  def train(features: Array[Array[Double]], labels: Array[Int]): LogisticModel = {
     require(features.length == labels.length, "features/labels length mismatch")
     require(features.nonEmpty, "empty training set")
     val n = features.length
@@ -46,8 +38,8 @@ object LogisticModel {
     var b = 0.0
 
     var epoch = 0
-    while (epoch < epochs) {
-      val lr = learningRate / (1.0 + 0.02 * epoch)
+    while (epoch < Epochs) {
+      val lr = LearningRate / (1.0 + 0.02 * epoch)
       val gw = new Array[Double](d)
       var gb = 0.0
       var i = 0
@@ -57,7 +49,7 @@ object LogisticModel {
         var j = 0
         while (j < d) { z += w(j) * x(j); j += 1 }
         val p = 1.0 / (1.0 + math.exp(-z))
-        val cw = if (labels(i) == 1) classWeightPos else 1.0
+        val cw = if (labels(i) == 1) ClassWeightPos else 1.0
         val err = cw * (p - labels(i))
         j = 0
         while (j < d) { gw(j) += err * x(j); j += 1 }
@@ -65,19 +57,10 @@ object LogisticModel {
         i += 1
       }
       var j = 0
-      while (j < d) { w(j) -= lr * (gw(j) / n + l2 * w(j)); j += 1 }
+      while (j < d) { w(j) -= lr * (gw(j) / n + L2 * w(j)); j += 1 }
       b -= lr * gb / n
       epoch += 1
     }
     LogisticModel(w, b)
-  }
-
-  /** Log-loss of the model on a labeled set (used for reporting). */
-  def logLoss(model: LogisticModel, features: Array[Array[Double]], labels: Array[Int]): Double = {
-    val eps = 1e-12
-    features.indices.map { i =>
-      val p = math.min(1 - eps, math.max(eps, model.score(features(i))))
-      if (labels(i) == 1) -math.log(p) else -math.log(1 - p)
-    }.sum / features.length
   }
 }

@@ -58,16 +58,15 @@ object PairwiseMatcher {
       .drop("attrsA", "attrsB")
   }
 
+  /** A pair whose score reaches this is predicted a match. */
+  private val Threshold = 0.5
+
   /** Scores featurized pairs; adds `prob` and boolean `pred`. */
-  def predict(
-      model: LogisticModel,
-      featurized: DataFrame,
-      threshold: Double = 0.5
-  ): DataFrame = {
+  def predict(model: LogisticModel, featurized: DataFrame): DataFrame = {
     val scoreUdf = udf((f: Seq[Double]) => model.score(f.toArray))
     featurized
       .withColumn("prob", scoreUdf(col("features")))
-      .withColumn("pred", col("prob") >= threshold)
+      .withColumn("pred", col("prob") >= Threshold)
   }
 
   /** Collects a labeled featurized frame (`features`, `label`) and trains

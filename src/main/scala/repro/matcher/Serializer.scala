@@ -28,15 +28,16 @@ object Serializer {
     */
   final case class Field(column: String, value: String, isId: Boolean)
 
-  final case class Scheme(
-      /** wrap columns in [col]/[val] tags and serialize missing columns */
-      dittoTags: Boolean,
-      /** split identifier values into character tokens */
-      charSplitIds: Boolean
-  )
+  /** A serialization scheme: [[Plain]] or [[Ditto]]. */
+  sealed trait Scheme
 
-  val Plain: Scheme = Scheme(dittoTags = false, charSplitIds = false)
-  val Ditto: Scheme = Scheme(dittoTags = true, charSplitIds = true)
+  /** Attribute values as word tokens; identifier values stay whole. */
+  case object Plain extends Scheme
+
+  /** Every column, missing ones included, wrapped in `[col]`/`[val]` tags;
+    * words shredded into wordpieces and identifier values into characters.
+    */
+  case object Ditto extends Scheme
 
   /** Word tokens of a free-text value (lowercased, punctuation split). */
   def wordTokens(value: String): Seq[String] =
@@ -53,20 +54,21 @@ object Serializer {
     if (t.length <= 3) Seq(t) else t.grouped(2).toSeq
 
   /** Serializes one record into its token sequence under `scheme`. */
-  def serialize(fields: Seq[Field], scheme: Scheme): Seq[String] =
+  def serialize(fields: Seq[Field], scheme: Scheme): Seq[String] = {
+    val ditto = scheme == Ditto
     fields.flatMap { f =>
       val valueTokens: Seq[String] =
         if (f.value == null || f.value.isEmpty)
-          if (scheme.dittoTags) Seq("none") else Nil
-        else if (f.isId && scheme.charSplitIds)
-          f.value.toLowerCase.map(_.toString)
+          if (ditto) Seq("none") else Nil
+        else if (f.isId && ditto) f.value.toLowerCase.map(_.toString)
         else if (f.isId) Seq(f.value.toLowerCase)
-        else if (scheme.dittoTags) wordTokens(f.value).flatMap(wordpieces)
+        else if (ditto) wordTokens(f.value).flatMap(wordpieces)
         else wordTokens(f.value)
-      if (scheme.dittoTags)
+      if (ditto)
         Seq("[col]") ++ wordpieces(f.column.toLowerCase) ++ Seq("[val]") ++ valueTokens
       else valueTokens
     }
+  }
 
   /** Longest-first truncation of a serialized pair to `budget` total tokens
     * (the standard sentence-pair truncation of BERT-style models: repeatedly

@@ -1,13 +1,15 @@
 package repro.core
 
 import org.apache.spark.sql.execution.{CoGroupExec, MapGroupsExec}
+import org.scalacheck.{Gen, Prop}
 
 import repro.SparkSpec
 import repro.blocking.Blocking
-import repro.graph.ConnectedComponents
+import repro.graph.{ConnectedComponents, LocalGraph}
+import repro.testkit.Props
 import GraLMatch.Thresholds
 
-class GraLMatchSpec extends SparkSpec {
+class GraLMatchSpec extends SparkSpec with Props {
 
   import spark.implicits._
 
@@ -130,6 +132,19 @@ class GraLMatchSpec extends SparkSpec {
       Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L), Set(9L), Set(50L)))
   }
 
+  test("cleanup of duplicated and reversed edges equals cleanup of the canonical list") {
+    // BC cuts a 10-path at its middle edge (5, 6), unless copies of an edge
+    // count as parallel edges and split its score.
+    val path = (1L until 10L).map(i => (i, i + 1))
+    val noisy = path ++ path.map(_.swap) ++ Seq.fill(2)(6L -> 5L)
+    val assign = (1L to 10L).map(_ -> 1L)
+    def rows(edges: Seq[(Long, Long)]) =
+      cleanupRows(edges, assign).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val canonical = rows(path)
+    assert(groupsOf(canonical.toSeq) == Set((1L to 5L).toSet, (6L to 10L).toSet))
+    assert(rows(noisy) == canonical)
+  }
+
   test("cleanup plans one per-component kernel node") {
     val plan = cleanupRows(barbell, (1L to 8L).map(_ -> 1L)).queryExecution.sparkPlan
     val kernels = plan.collect { case p: MapGroupsExec => p; case p: CoGroupExec => p }
@@ -196,5 +211,59 @@ class GraLMatchSpec extends SparkSpec {
     val out = GraLMatch.cleanupComponent(cycle, Thresholds(gamma = 10, mu = 5))
     assert(out.map(_._1).toSet == (1L to n).toSet)
     assert(groupsOf(out).forall(_.size <= 10))
+  }
+
+  /** Up to 40 vertices with sparse, non-contiguous ids. */
+  private val randomGraph: Gen[Seq[(Long, Long)]] = for {
+    n  <- Gen.choose(1, 40)
+    m  <- Gen.choose(0, 3 * n)
+    es <- Gen.listOfN(m, Gen.zip(Gen.choose(0, n - 1), Gen.choose(0, n - 1)))
+  } yield es.map { case (u, v) => (7L * u + 3, 7L * v + 3) }
+
+  test("property: cleanupComponent partitions the vertices into connected groups of <= mu") {
+    checkProp(Prop.forAll(randomGraph) { es =>
+      val vertices = es.flatMap { case (u, v) => Seq(u, v) }.distinct.sorted
+      Seq(Thresholds(25, 5), Thresholds(10, 5), Thresholds(4, 2)).forall { t =>
+        val out = GraLMatch.cleanupComponent(es, t)
+        val group = out.toMap
+        val intra = es.filter { case (u, v) => group(u) == group(v) }
+        val connected = groupsOf(out).forall { g =>
+          g.size <= t.mu && LocalGraph.fromEdges(intra.filter(e => g(e._1)), g).isConnected
+        }
+        // Cleaning the intra-group edges again (self-loops keep every vertex)
+        // changes nothing.
+        val again = GraLMatch.cleanupComponent(intra ++ vertices.map(v => (v, v)), t)
+        out.map(_._1).sorted == vertices && connected && again.sorted == out.sorted
+      }
+    }, minTests = 100)
+  }
+
+  test("run gives the same groups at 1, 7 and 64 shuffle partitions and in any row order") {
+    val rng = new scala.util.Random(11)
+    // 12 components of 5 to 30 vertices: a path plus random chords
+    val edges = (0 until 12).flatMap { c =>
+      val n = 5 + rng.nextInt(26)
+      val path = (0 until n - 1).map(i => (i, i + 1))
+      val chords = Seq.fill(2 * n)((rng.nextInt(n), rng.nextInt(n)))
+      (path ++ chords).map { case (u, v) => (1000L * c + u, 1000L * c + v) }
+    }
+    val isolated = Seq(99998L, 99999L)
+    val ids = edges.flatMap { case (u, v) => Seq(u, v) }.distinct ++ isolated
+    val th = Thresholds(10, 3)
+    def groups(es: Seq[(Long, Long)]): Set[(Long, Long)] =
+      GraLMatch.run(spark, es.toDF("src", "dst"), th, Some(ids.toDF("id")))
+        .as[(Long, Long)].collect().toSet
+
+    val expected = groups(edges)
+    assert(expected == (GraLMatch.cleanupComponent(edges, th) ++ isolated.map(i => (i, i))).toSet)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try {
+      for (n <- Seq(1, 7, 64)) {
+        spark.conf.set(key, n.toLong)
+        assert(groups(edges) == expected, s"$n shuffle partitions")
+      }
+    } finally spark.conf.set(key, saved)
+    assert(groups(rng.shuffle(edges.map(_.swap))) == expected, "reversed, shuffled rows")
   }
 }

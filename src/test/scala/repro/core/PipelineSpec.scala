@@ -79,9 +79,9 @@ class PipelineSpec extends SparkSpec {
     assert(result.groups.select("id").distinct().count() == n)
   }
 
-  test("no final group exceeds mu... unless it was protected by gamma split") {
+  test("no final group exceeds mu") {
     val sizes = result.groups.groupBy("group").count().select("count").as[Long].collect()
-    assert(sizes.max <= 25, s"max group size ${sizes.max}")
+    assert(sizes.max <= 5, s"max group size ${sizes.max}")
   }
 
   test("cluster purity is high after cleanup") {

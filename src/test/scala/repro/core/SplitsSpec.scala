@@ -68,7 +68,7 @@ class SplitsSpec extends SparkSpec {
 
   test("labeledPairs keeps a 5:1 negative ratio") {
     val df = recs((1L to 30L).map(i => (i, i % 10)): _*)
-    val lp = Splits.labeledPairs(df, negRatio = 5, seed = 3L)
+    val lp = Splits.labeledPairs(df, seed = 3L)
     val pos = lp.where($"label" === 1).count()
     val neg = lp.where($"label" === 0).count()
     assert(neg == 5 * pos)

@@ -22,7 +22,7 @@ class PairwiseMatcherSpec extends SparkSpec {
     assert(out.count() == 2)
     val f = out.where($"src" === 1L && $"dst" === 2L)
       .select("features").as[Seq[Double]].head()
-    assert(f.size == Featurizer.NumFeatures)
+    assert(f.size == Featurizer.FeatureNames.size)
     assert(f(3) > 0.0, "shared isin must be visible under the plain scheme")
   }
 
@@ -36,10 +36,10 @@ class PairwiseMatcherSpec extends SparkSpec {
   test("predict adds prob and pred columns honoring the threshold") {
     val feat = PairwiseMatcher.featurize(
       pairs, records, RecordSchema.Securities, Serializer.Plain, 128)
-    val model = LogisticModel(Array.fill(Featurizer.NumFeatures)(0.0), 10.0)
+    val model = LogisticModel(Array.fill(Featurizer.FeatureNames.size)(0.0), 10.0)
     val out = PairwiseMatcher.predict(model, feat)
     assert(out.where($"pred").count() == 2) // bias 10 => always positive
-    val low = PairwiseMatcher.predict(LogisticModel(Array.fill(Featurizer.NumFeatures)(0.0), -10.0), feat)
+    val low = PairwiseMatcher.predict(LogisticModel(Array.fill(Featurizer.FeatureNames.size)(0.0), -10.0), feat)
     assert(low.where($"pred").count() == 0)
   }
 
