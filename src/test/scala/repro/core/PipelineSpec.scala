@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.blocking.{Blocking, IdOverlapBlocking, TokenOverlapBlocking}
@@ -29,9 +30,10 @@ class PipelineSpec extends SparkSpec {
     (secs, cands, model)
   }
 
-  private def run(th: GraLMatch.Thresholds): Pipeline.Result = {
+  private def run(th: GraLMatch.Thresholds, candidates: Option[DataFrame] = None): Pipeline.Result = {
     val (secs, cands, model) = fixtures
-    Pipeline.run(spark, secs, cands, model, RecordSchema.Securities, Serializer.Plain, 128, th)
+    Pipeline.run(spark, secs, candidates.getOrElse(cands), model,
+      RecordSchema.Securities, Serializer.Plain, 128, th)
   }
 
   private lazy val result = run(GraLMatch.Thresholds(gamma = 25, mu = 5))
@@ -109,5 +111,36 @@ class PipelineSpec extends SparkSpec {
     assert(groups(loose) != groups(tight))
     assertSame(loose, result)
     assertSame(tight, run(GraLMatch.Thresholds(5, 2)))
+  }
+
+  test("empty candidates: every record is its own group") {
+    val (secs, cands, _) = fixtures
+    val r = run(GraLMatch.Thresholds(25, 5), Some(cands.limit(0)))
+    val ids = secs.select("recordId").as[Long].collect().sorted.toSeq
+    assert(groups(r) == ids.map(i => (i, i)))
+    assert(r.postCleanup.scores.tp == 0 && r.postCleanup.scores.fp == 0)
+    r.groups.unpersist()
+  }
+
+  test("run gives the same groups at 1, 7 and 64 shuffle partitions and in any row order") {
+    val (_, cands, _) = fixtures
+    def runOn(c: DataFrame) = {
+      val r = run(GraLMatch.Thresholds(25, 5), Some(c))
+      val g = groups(r)
+      r.groups.unpersist()
+      g
+    }
+    val expected = groups(result)
+    val key = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(key)
+    try {
+      for (n <- Seq(1, 7, 64)) {
+        spark.conf.set(key, n.toLong)
+        assert(runOn(cands) == expected, s"$n shuffle partitions")
+      }
+    } finally spark.conf.set(key, saved)
+    val reversed = spark.createDataFrame(
+      spark.sparkContext.parallelize(cands.collect().reverse.toSeq, 4), cands.schema)
+    assert(runOn(reversed) == expected, "reversed candidate rows")
   }
 }

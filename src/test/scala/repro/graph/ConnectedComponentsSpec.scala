@@ -1,7 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.execution.LogicalRDD
 import repro.{Oracle, SparkSpec}
 
 import scala.util.Random
@@ -32,8 +32,8 @@ class ConnectedComponentsSpec extends SparkSpec {
     assert(res.values.toSet == Set(1L))
   }
 
-  test("long path converges (pointer jumping)") {
-    val n    = 200L
+  test("long path of 100 000 vertices is one component") {
+    val n    = 100000L
     val path = (1L until n).map(i => (i, i + 1))
     val res  = run(path)
     assert(res.size == n)
@@ -126,5 +126,44 @@ class ConnectedComponentsSpec extends SparkSpec {
     res.groupBy(_._2).foreach { case (label, members) =>
       assert(members.keys.min == label)
     }
+  }
+
+  test("labels do not depend on partitioning or row order") {
+    import spark.implicits._
+    val rnd = new Random(13)
+    // a 1600-vertex path whose shuffled edges fall in each of 16 partitions,
+    // so the merge must join a forest from every one, plus random small
+    // components and isolated vertices
+    val path  = (1L until 1600L).map(i => (i, i + 1))
+    val small = Seq.fill(400)((2000L + rnd.nextInt(500), 2000L + rnd.nextInt(500)))
+    val es    = rnd.shuffle(path ++ small)
+    val ids   = (0L to 2600L).filterNot(_ % 97 == 0)
+    val comps = LocalGraph
+      .fromEdges(es.filter { case (u, v) => u != v })
+      .components
+      .flatMap(c => c.map(_ -> c.min))
+      .toMap
+    val expected = (ids ++ es.flatMap(e => Seq(e._1, e._2))).map(v => v -> comps.getOrElse(v, v)).toMap
+    def labels(rows: Seq[(Long, Long)], partitions: Int): Map[Long, Long] = {
+      val df = spark.sparkContext.parallelize(rows, partitions).toDF("src", "dst")
+      val pathPartitions = df.rdd
+        .mapPartitions(it => Iterator(it.exists(r => r.getLong(0) <= 1600L)))
+        .collect()
+      assert(pathPartitions.length == partitions && pathPartitions.forall(identity))
+      ConnectedComponents.run(spark, df, Some(ids.toDF("id")))
+        .as[(Long, Long)].collect().toMap
+    }
+    assert(labels(es, 1) == expected)
+    assert(labels(es, 16) == expected)
+    assert(labels(rnd.shuffle(es.map(_.swap)), 16) == expected)
+    assert(labels(es.reverse, 16) == expected)
+  }
+
+  test("result is a checkpointed leaf") {
+    import spark.implicits._
+    val res = ConnectedComponents.run(spark, edgesDf(Seq(1L -> 2L)), Some(Seq(3L).toDF("id")))
+    assert(res.queryExecution.logical.isInstanceOf[LogicalRDD],
+      res.queryExecution.logical.treeString)
+    assert(res.columns.toSeq == Seq("id", "component"))
   }
 }
