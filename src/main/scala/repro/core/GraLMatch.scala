@@ -23,10 +23,11 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
   * paper's global argmax loop is equivalent to processing every initial
   * component independently — a `cogroup` by component of the edges and the
   * member ids, where each group runs the two phases once on its
-  * component's local edge list and emits the members without an edge as
-  * singletons. The grouping key may be any component assignment the edges
-  * refine (e.g. the components before Pre Graph Cleanup): the local kernel
-  * splits its input into connected components itself.
+  * component's local edge list plus a self-loop per member, so the members
+  * without an edge come back as singletons. The grouping key may be any
+  * component assignment the edges refine (e.g. the components before Pre
+  * Graph Cleanup): the local kernel splits its input into connected
+  * components itself.
   */
 object GraLMatch {
 
@@ -87,22 +88,19 @@ object GraLMatch {
       thresholds: Thresholds,
       vertices: Option[DataFrame] = None
   ): DataFrame =
-    cleanup(spark, edges, ConnectedComponents.run(spark, edges, vertices), thresholds)
+    cleanup(edges, ConnectedComponents.run(spark, edges, vertices), thresholds)
 
   /** Algorithm 1 over `edges`, one kernel run per component of `assign`.
+    * Each member reaches the kernel as a self-loop `(id, id)`, which keeps
+    * its vertex only, so members without an edge come back as singletons.
     *
     * @param edges  predictions to clean (`src`, `dst`); every edge must lie
     *               inside one component of `assign`
-    * @param assign `(id, component)` for every record to assign; records
-    *               without an edge in `edges` become singleton groups
+    * @param assign `(id, component)` for every record to assign
     * @return `(id, group)` — the final entity group assignment
     */
-  def cleanup(
-      spark: SparkSession,
-      edges: DataFrame,
-      assign: DataFrame,
-      thresholds: Thresholds
-  ): DataFrame = {
+  def cleanup(edges: DataFrame, assign: DataFrame, thresholds: Thresholds): DataFrame = {
+    val spark = edges.sparkSession
     import spark.implicits._
 
     // Parallel and reversed edges reach the kernel, whose LocalGraph
@@ -117,9 +115,8 @@ object GraLMatch {
 
     membersByComp
       .cogroup(edgesByComp) { (_, members, rows) =>
-        val cleaned = cleanupComponent(rows.map(r => (r._2, r._3)).toSeq, thresholds)
-        val assigned = cleaned.iterator.map(_._1).toSet
-        cleaned.iterator ++ members.map(_._2).filterNot(assigned).map(id => (id, id))
+        val loops = members.map(m => (m._2, m._2))
+        cleanupComponent((loops ++ rows.map(r => (r._2, r._3))).toSeq, thresholds)
       }
       .toDF("id", "group")
   }

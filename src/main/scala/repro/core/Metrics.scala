@@ -11,6 +11,9 @@ import org.apache.spark.sql.functions._
   * pairs. Those counts are computed arithmetically from per-component
   * entity tallies — the transitive closure is never materialized, so large
   * (even pathological) components cost nothing.
+  *
+  * Each score is one Spark action: one `head()` of its one-row aggregate
+  * cross-joined with the one-row ground-truth pair count.
   */
 object Metrics {
 
@@ -27,13 +30,15 @@ object Metrics {
   private def c2(n: Column): Column = ((n * (n - lit(1))) / lit(2)).cast("long")
   private type Column = org.apache.spark.sql.Column
 
-  /** Total ground-truth matches: Σ over entities of n·(n−1)/2. */
-  def truthPairCount(records: DataFrame): Long =
+  /** One row, one column `truth`: Σ over entities of n·(n−1)/2. */
+  private def truthPairs(records: DataFrame): DataFrame =
     records
       .groupBy("entityId")
       .agg(count(lit(1)).as("n"))
-      .agg(coalesce(sum(c2(col("n"))), lit(0L)))
-      .head().getLong(0)
+      .agg(coalesce(sum(c2(col("n"))), lit(0L)).as("truth"))
+
+  /** Total ground-truth matches: Σ over entities of n·(n−1)/2. */
+  def truthPairCount(records: DataFrame): Long = truthPairs(records).head().getLong(0)
 
   /** Scores an explicit pair set (stage 1, pairwise predictions) against the
     * ground truth in `records(recordId, entityId)`.
@@ -46,9 +51,9 @@ object Metrics {
     val agg = joined.agg(
       coalesce(sum(when(col("eA") === col("eB"), 1L).otherwise(0L)), lit(0L)).as("tp"),
       coalesce(sum(when(col("eA") =!= col("eB"), 1L).otherwise(0L)), lit(0L)).as("fp")
-    ).head()
+    ).crossJoin(truthPairs(records)).head()
     val tp = agg.getLong(0)
-    PairScores(tp, agg.getLong(1), truthPairCount(records) - tp)
+    PairScores(tp, agg.getLong(1), agg.getLong(2) - tp)
   }
 
   /** Scores a group assignment (stage 2/3): `(PairScores, clusterPurity)`.
@@ -77,12 +82,12 @@ object Metrics {
       coalesce(sum(
         when(col("n") === 1, lit(1.0))
           .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum")
-    ).head()
+    ).crossJoin(truthPairs(records)).head()
 
     val tp   = agg.getLong(0)
     val pred = agg.getLong(1)
     val nV   = agg.getLong(2)
     val purity = if (nV == 0) 0.0 else agg.getDouble(3) / nV
-    (PairScores(tp, pred - tp, truthPairCount(records) - tp), purity)
+    (PairScores(tp, pred - tp, agg.getLong(4) - tp), purity)
   }
 }

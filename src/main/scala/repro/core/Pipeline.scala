@@ -18,19 +18,22 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * Cleanup and GraLMatch only delete edges, so every final group lies
   * inside a stage-2 component: both reuse that assignment
   * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]).
+  *
+  * Besides the connected components, a run's Spark actions are the count
+  * that materializes the cached positives (where the inference timer stops)
+  * and one `head()` per stage score ([[Metrics]]).
   */
 object Pipeline {
 
   final case class StageScores(scores: Metrics.PairScores, clusterPurity: Double)
 
-  /** Stages 1–2 over `records`: the counts, the stage-1 (`pairwise`) and
-    * stage-2 (`preCleanup`) scores, the cached positive predictions
+  /** Stages 1–2 over `records`: the stage-1 (`pairwise`) and stage-2
+    * (`preCleanup`) scores, the inference time, the cached positives
     * `(src, dst, blockings)` and their stage-2 `(id, component)` assignment.
     */
   final case class Prediction(
-      records: DataFrame, nCandidates: Long, nPositive: Long,
-      pairwise: Metrics.PairScores, preCleanup: StageScores, inferenceSeconds: Double,
-      positives: DataFrame, assign: DataFrame)
+      records: DataFrame, pairwise: Metrics.PairScores, preCleanup: StageScores,
+      inferenceSeconds: Double, positives: DataFrame, assign: DataFrame)
 
   /** A cleaned prediction: the stage-3 scores and the final `(id, group)`
     * assignment, cached.
@@ -51,24 +54,19 @@ object Pipeline {
       spark: SparkSession, records: DataFrame, candidates: DataFrame, model: LogisticModel,
       schema: RecordSchema, scheme: Serializer.Scheme, tokenBudget: Int
   ): Prediction = {
-    // one row per pair, provenance aggregated
+    // ---- stage 1: pairwise predictions --------------------------------
+    // timed from grouping the candidates (one row per pair) to the cached positives
+    val t0 = System.nanoTime()
     val pairs = candidates
       .groupBy("src", "dst")
       .agg(collect_set(col("blocking")).as("blockings"))
-      .cache()
-    val nCandidates = pairs.count()
-
-    // ---- stage 1: pairwise predictions --------------------------------
-    val t0 = System.nanoTime()
     val featurized = PairwiseMatcher.featurize(pairs, records, schema, scheme, tokenBudget)
     val positives = PairwiseMatcher.predict(model, featurized)
       .where(col("pred"))
       .select(col("src"), col("dst"), col("blockings"))
       .cache()
-    val nPositive = positives.count()
+    positives.count()
     val inferenceSeconds = (System.nanoTime() - t0) / 1e9
-    // positives is materialized; nothing reads the pairs again
-    pairs.unpersist()
 
     val pairwise = Metrics.scorePairs(positives, records)
 
@@ -80,16 +78,16 @@ object Pipeline {
       .run(spark, positives.select("src", "dst"), Some(allIds))
     val (preScores, prePurity) = Metrics.scoreGroups(assign, records)
 
-    Prediction(records, nCandidates, nPositive, pairwise,
-      StageScores(preScores, prePurity), inferenceSeconds, positives, assign)
+    Prediction(records, pairwise, StageScores(preScores, prePurity), inferenceSeconds,
+      positives, assign)
   }
 
   /** Stage 3: Pre Graph Cleanup, then GraLMatch at `thresholds` (Algorithm
     * 1's γ/μ). Leaves `p.positives` cached, so `p` can be cleaned again.
     */
   def cleanup(p: Prediction, thresholds: GraLMatch.Thresholds): Result = {
-    val kept = PreCleanup.keep(p.positives, p.assign, PreCleanup.MaxComponent)
-    val groups = GraLMatch.cleanup(p.positives.sparkSession, kept, p.assign, thresholds).cache()
+    val kept = PreCleanup.keep(p.positives, p.assign)
+    val groups = GraLMatch.cleanup(kept, p.assign, thresholds).cache()
     val (postScores, postPurity) = Metrics.scoreGroups(groups, p.records)
     Result(p, StageScores(postScores, postPurity), groups)
   }

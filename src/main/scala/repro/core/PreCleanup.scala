@@ -30,12 +30,8 @@ object PreCleanup {
     *              array column (the provenance of the candidate pair)
     * @return the retained edges (same schema)
     */
-  def run(
-      spark: SparkSession,
-      edges: DataFrame,
-      maxComponent: Int = MaxComponent
-  ): DataFrame =
-    keep(edges, ConnectedComponents.run(spark, edges.select("src", "dst")), maxComponent)
+  def run(spark: SparkSession, edges: DataFrame): DataFrame =
+    keep(edges, ConnectedComponents.run(spark, edges.select("src", "dst")))
 
   /** Pre-cleanup against a known component assignment.
     *
@@ -44,9 +40,9 @@ object PreCleanup {
     *               also hold isolated records (singleton components)
     * @return the retained edges (same schema as `edges`)
     */
-  def keep(edges: DataFrame, assign: DataFrame, maxComponent: Int): DataFrame = {
+  def keep(edges: DataFrame, assign: DataFrame): DataFrame = {
     val compSize = assign.groupBy("component").agg(count(lit(1)).as("size"))
-    val bigComps = compSize.where(col("size") > maxComponent).select("component")
+    val bigComps = compSize.where(col("size") > MaxComponent).select("component")
     val compOf = assign
       .join(bigComps, "component")
       .select(col("id").as("src"), lit(true).as("inBig"))

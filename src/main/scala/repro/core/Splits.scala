@@ -83,7 +83,7 @@ object Splits {
   }
 
   /** Positive + 5:1 negative labeled pairs for one split's records. */
-  def labeledPairs(records: DataFrame, seed: Long = 31L): DataFrame =
+  def labeledPairs(records: DataFrame, seed: Long): DataFrame =
     withNegatives(positivePairs(records))(negativePairs(records, _, seed))
 
   /** Corner-case negatives (WDC Products, paper §5.1.4: "80% corner
@@ -119,7 +119,7 @@ object Splits {
   def cornerLabeledPairs(
       records: DataFrame,
       familyExpr: org.apache.spark.sql.Column,
-      seed: Long = 31L
+      seed: Long
   ): DataFrame =
     withNegatives(positivePairs(records))(cornerNegativePairs(records, _, seed, familyExpr))
 
@@ -163,7 +163,7 @@ object Splits {
       records: DataFrame,
       idPairs: DataFrame,
       maxPositives: Int,
-      seed: Long = 31L
+      seed: Long
   ): DataFrame = {
     val clean = idConnectedEntities(spark, records, idPairs)
     val pos = positivePairs(records.join(clean, "entityId"))

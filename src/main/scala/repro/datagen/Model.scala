@@ -84,7 +84,7 @@ object GenParams {
     * 5 sources, ~4.3 company records/entity, ~3.6 security records/entity,
     * ~32% of company records with descriptions.
     */
-  def synthetic(nGroups: Int, seed: Long = 17L): GenParams = GenParams(
+  def synthetic(nGroups: Int, seed: Long): GenParams = GenParams(
     nGroups = nGroups, nSources = 5,
     companyPresence = 0.87, securityPresence = 0.72,
     pAcquisition = 0.06, pMerger = 0.06,
@@ -100,7 +100,7 @@ object GenParams {
     * easy ID-matched groups, very low proportion of edge cases, longer
     * descriptions, higher identifier coverage.
     */
-  def real(nGroups: Int, seed: Long = 23L): GenParams = GenParams(
+  def real(nGroups: Int, seed: Long): GenParams = GenParams(
     nGroups = nGroups, nSources = 8,
     companyPresence = 0.55, securityPresence = 0.62,
     pAcquisition = 0.015, pMerger = 0.015,

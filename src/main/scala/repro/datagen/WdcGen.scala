@@ -54,7 +54,7 @@ object WdcGen {
   /** Largest number of offers of one product. */
   private val MaxGroupSize = 12
 
-  final case class WdcParams(nFamilies: Int, seed: Long = 29L)
+  final case class WdcParams(nFamilies: Int, seed: Long)
 
   private def groupSize(rng: Random): Int = {
     // heterogeneous, heavy at small sizes: 1 + geometric(0.35), capped

@@ -6,6 +6,7 @@ import org.scalacheck.{Gen, Prop}
 import repro.SparkSpec
 import repro.blocking.Blocking
 import repro.graph.{ConnectedComponents, LocalGraph}
+import repro.graph.reference.GlobalCleanup
 import repro.testkit.Props
 import GraLMatch.Thresholds
 
@@ -116,7 +117,7 @@ class GraLMatchSpec extends SparkSpec with Props {
   }
 
   private def cleanupRows(edges: Seq[(Long, Long)], assign: Seq[(Long, Long)]) =
-    GraLMatch.cleanup(spark, edges.toDF("src", "dst"), assign.toDF("id", "component"), Thresholds(25, 5))
+    GraLMatch.cleanup(edges.toDF("src", "dst"), assign.toDF("id", "component"), Thresholds(25, 5))
 
   test("cleanup with no edges makes every id a singleton") {
     val out = cleanupRows(Nil, Seq(1L -> 1L, 2L -> 1L, 3L -> 3L))
@@ -152,7 +153,7 @@ class GraLMatchSpec extends SparkSpec with Props {
   }
 
   // Groups of one CC pass shared by pre-cleanup and cleanup, checked equal
-  // to those of a pass in each step (pre-cleanup threshold 10).
+  // to those of a pass in each step.
   private def onePassGroups(
       edges: Seq[(Long, Long, Seq[String])], ids: Seq[Long]): Set[Set[Long]] = {
     val e = edges.toDF("src", "dst", "blockings")
@@ -161,20 +162,23 @@ class GraLMatchSpec extends SparkSpec with Props {
     def rows(df: org.apache.spark.sql.DataFrame) =
       df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val cc = ConnectedComponents.run(spark, e.select("src", "dst"), Some(v))
-    val one = rows(GraLMatch.cleanup(spark, PreCleanup.keep(e, cc, 10), cc, th))
-    val three = rows(GraLMatch.run(spark, PreCleanup.run(spark, e, 10), th, Some(v)))
+    val one = rows(GraLMatch.cleanup(PreCleanup.keep(e, cc), cc, th))
+    val three = rows(GraLMatch.run(spark, PreCleanup.run(spark, e), th, Some(v)))
     assert(one == three)
     groupsOf(one.toSeq)
   }
 
   test("one CC pass equals three: pre-cleanup splits, then Algorithm 1 cleans") {
-    // 16 records > 10: the token-only link goes, then each barbell splits
+    // seven barbells chained by token-only links: 56 records > 50, so
+    // pre-cleanup drops the 6 links, then each barbell splits
     val id = Seq(Blocking.IdOverlap)
-    val twoBarbells = (barbell ++ barbell.map { case (a, b) => (a + 10, b + 10) })
-      .map { case (a, b) => (a, b, id) } :+ ((8L, 11L, Seq(Blocking.TokenOverlap)))
-    assert(onePassGroups(twoBarbells, (1L to 8L) ++ (11L to 18L)) == Set(
-      Set(1L, 2L, 3L, 4L), Set(5L, 6L, 7L, 8L),
-      Set(11L, 12L, 13L, 14L), Set(15L, 16L, 17L, 18L)))
+    val offsets = (0L until 7L).map(_ * 10)
+    val barbells = offsets.flatMap(o => barbell.map { case (a, b) => (a + o, b + o, id) })
+    val links = offsets.sliding(2).map(w => (w(0) + 8, w(1) + 1, Seq(Blocking.TokenOverlap)))
+    val chain = barbells ++ links
+    assert(PreCleanup.run(spark, chain.toDF("src", "dst", "blockings")).count() == barbells.size)
+    assert(onePassGroups(chain, offsets.flatMap(o => (1L to 8L).map(_ + o))) ==
+      offsets.flatMap(o => Seq((1L to 4L).map(_ + o).toSet, (5L to 8L).map(_ + o).toSet)).toSet)
   }
 
   test("one CC pass equals three: an isolated id is a singleton") {
@@ -236,6 +240,38 @@ class GraLMatchSpec extends SparkSpec with Props {
         out.map(_._1).sorted == vertices && connected && again.sorted == out.sorted
       }
     }, minTests = 100)
+  }
+
+  /** 2 to 5 disjoint random pieces, 40 vertices in all at most: the edges
+    * and every vertex (isolated ones included).
+    */
+  private val piecewiseGraph: Gen[(Seq[(Long, Long)], Seq[Long])] = for {
+    k      <- Gen.choose(2, 5)
+    sizes  <- Gen.listOfN(k, Gen.choose(1, 40 / k))
+    pieces <- Gen.sequence[List[Seq[(Long, Long)]], Seq[(Long, Long)]](sizes.map { n =>
+                Gen.choose(0, 3 * n).flatMap(m =>
+                  Gen.listOfN(m, Gen.zip(Gen.choose(0L, n - 1L), Gen.choose(0L, n - 1L))))
+              })
+  } yield {
+    val offsets = sizes.scanLeft(0L)(_ + _)
+    (pieces.zip(offsets).flatMap { case (es, o) => es.map { case (u, v) => (u + o, v + o) } },
+      0L until offsets.last)
+  }
+
+  test("property: GraLMatch.run equals the global-loop Algorithm 1 on graphs of 2 to 5 pieces") {
+    // 30 graphs per run call, their ids offset by 100 each
+    checkProp(Prop.forAllNoShrink(Gen.listOfN(30, piecewiseGraph)) { graphs =>
+      val shifted = graphs.zipWithIndex.map { case ((es, vs), i) =>
+        val o = 100L * i
+        (es.map { case (u, v) => (u + o, v + o) }, vs.map(_ + o))
+      }
+      val edges = shifted.flatMap(_._1).toDF("src", "dst")
+      val ids = shifted.flatMap(_._2).toDF("id")
+      Seq(Thresholds(25, 5), Thresholds(10, 5), Thresholds(5, 5), Thresholds(4, 2)).forall { t =>
+        GraLMatch.run(spark, edges, t, Some(ids)).as[(Long, Long)].collect().toSet ==
+          shifted.flatMap { case (es, vs) => GlobalCleanup.run(es, vs, t) }.toSet
+      }
+    }, minTests = 5)
   }
 
   test("run gives the same groups at 1, 7 and 64 shuffle partitions and in any row order") {

@@ -107,7 +107,7 @@ class SplitsSpec extends SparkSpec {
   test("cleanLabeledPairs caps positives and keeps the 5:1 ratio") {
     val records = recs((1L to 20L).map(i => (i, i % 5)): _*)
     val idPairs = Splits.positivePairs(records).select("src", "dst") // fully connected groups
-    val lp = Splits.cleanLabeledPairs(spark, records, idPairs, maxPositives = 4)
+    val lp = Splits.cleanLabeledPairs(spark, records, idPairs, maxPositives = 4, seed = 31L)
     assert(lp.where($"label" === 1).count() == 4)
     assert(lp.where($"label" === 0).count() == 20)
   }
