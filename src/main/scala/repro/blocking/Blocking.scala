@@ -24,9 +24,13 @@ object Blocking {
       .where(a =!= b)
       .select(least(a, b).as("src"), greatest(a, b).as("dst"))
 
-  /** Unions several blockings' candidates; one row per pair per blocking. */
+  /** Unions several blockings' candidates; one row per pair per blocking.
+    * Each input must already be distinct and carry its own constant
+    * `blocking` value (every blocking here ends in `distinct()` and stamps
+    * its name), so the union needs no `distinct()` of its own.
+    */
   def combine(blockings: DataFrame*): DataFrame =
-    blockings.reduce(_ unionByName _).distinct()
+    blockings.reduce(_ unionByName _)
 
   /** Distinct pairs regardless of provenance (the Table-2 candidate count). */
   def distinctPairs(candidates: DataFrame): DataFrame =

@@ -23,14 +23,11 @@ object IdOverlapBlocking {
     * Identifier values are namespaced by column so equal strings in
     * different identifier systems do not collide.
     */
-  def explodedIds(securities: DataFrame): DataFrame = {
-    val stacked = IdColumns.map { c =>
-      securities
-        .where(col(c).isNotNull)
-        .select(col("recordId"), col("source"), concat_ws(":", lit(c), col(c)).as("id"))
-    }
-    stacked.reduce(_ unionByName _)
-  }
+  def explodedIds(securities: DataFrame): DataFrame =
+    securities
+      .select(col("recordId"), col("source"),
+        explode(array(IdColumns.map(c => concat(lit(s"$c:"), col(c))): _*)).as("id"))
+      .where(col("id").isNotNull)
 
   /** Candidate security pairs: same identifier value, different sources. */
   def securityCandidates(securities: DataFrame): DataFrame = {

@@ -181,7 +181,7 @@ object Experiments {
       case TrainAll =>
         Splits.labeledPairs(train.select("recordId", "entityId"), seed = Seed)
       case TrainFilteredClean(maxPairs) =>
-        Splits.cleanLabeledPairs(spark, train.select("recordId", "entityId", "split"),
+        Splits.cleanLabeledPairs(train.select("recordId", "entityId", "split"),
           ds.idPairs, maxPairs, seed = Seed)
     }
     val feat = PairwiseMatcher.featurize(

@@ -14,9 +14,8 @@ import java.util.Arrays
   * ids), edges are numbered `0..m-1` in canonical `(src < dst)` order, and
   * the adjacency is a CSR array pair with each vertex's neighbours sorted.
   * Edge removal shares those arrays and copies only the alive-edge mask, so
-  * a `LocalGraph` value never changes. Self-loops are dropped and parallel
-  * edges collapse. Vertices with no edges are representable (pass them
-  * explicitly to [[LocalGraph.fromEdges]]).
+  * a `LocalGraph` value never changes. Parallel edges collapse; a self-loop
+  * `(v, v)` adds only its vertex, which is how an isolated vertex is given.
   */
 final class LocalGraph private (
     /** Vertex id of each label, ascending. */
@@ -114,14 +113,11 @@ final class LocalGraph private (
 
 object LocalGraph {
 
-  /** Builds a graph from an edge list plus optional isolated vertices. */
-  def fromEdges(
-      edgeList: Iterable[(Long, Long)],
-      extraVertices: Iterable[Long] = Nil
-  ): LocalGraph = {
+  /** Builds a graph from an edge list; a self-loop `(v, v)` adds vertex `v`
+    * and no edge.
+    */
+  def fromEdges(edgeList: Iterable[(Long, Long)]): LocalGraph = {
     val endpoints = Array.newBuilder[Long]
-    extraVertices.foreach(endpoints += _)
-    // A self-loop contributes its vertex only.
     edgeList.foreach { case (u, v) => endpoints += u; endpoints += v }
     val ids = distinctSorted(endpoints.result())
     def label(v: Long) = Arrays.binarySearch(ids, v)

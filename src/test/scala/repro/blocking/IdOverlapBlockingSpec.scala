@@ -19,6 +19,13 @@ class IdOverlapBlockingSpec extends SparkSpec {
     assert(out.forall(_.getString(2) == Blocking.IdOverlap))
   }
 
+  test("explodedIds emits one namespaced row per non-null identifier") {
+    val df = secs((1L, 1, "US1", null, "V1", null), (2L, 2, null, null, null, null))
+    val out = IdOverlapBlocking.explodedIds(df).collect()
+      .map(r => (r.getAs[Long]("recordId"), r.getAs[String]("id"))).toSet
+    assert(out == Set((1L, "isin:US1"), (1L, "valor:V1")))
+  }
+
   test("same-source records never pair") {
     val df = secs((1L, 1, "US1", null, null, null), (2L, 1, "US1", null, null, null))
     assert(IdOverlapBlocking.securityCandidates(df).count() == 0)

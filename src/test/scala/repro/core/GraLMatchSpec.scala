@@ -232,7 +232,8 @@ class GraLMatchSpec extends SparkSpec with Props {
         val group = out.toMap
         val intra = es.filter { case (u, v) => group(u) == group(v) }
         val connected = groupsOf(out).forall { g =>
-          g.size <= t.mu && LocalGraph.fromEdges(intra.filter(e => g(e._1)), g).isConnected
+          g.size <= t.mu &&
+            LocalGraph.fromEdges(intra.filter(e => g(e._1)) ++ g.map(v => (v, v))).isConnected
         }
         // Cleaning the intra-group edges again (self-loops keep every vertex)
         // changes nothing.

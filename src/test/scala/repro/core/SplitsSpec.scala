@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.datagen.{EmDatasets, GenParams}
+import repro.datagen.{EmDatasets, GenParams, WdcGen}
 import repro.blocking.IdOverlapBlocking
 
 class SplitsSpec extends SparkSpec {
@@ -77,7 +77,7 @@ class SplitsSpec extends SparkSpec {
   test("idConnectedEntities accepts a fully id-connected entity") {
     val records = recs((1L, 10L), (2L, 10L), (3L, 10L))
     val idPairs = Seq((1L, 2L), (2L, 3L)).toDF("src", "dst")
-    val clean = Splits.idConnectedEntities(spark, records, idPairs)
+    val clean = Splits.idConnectedEntities(records, idPairs)
       .collect().map(_.getLong(0)).toSet
     assert(clean == Set(10L))
   }
@@ -85,20 +85,20 @@ class SplitsSpec extends SparkSpec {
   test("idConnectedEntities rejects split id-cliques (acquisition shape)") {
     val records = recs((1L, 10L), (2L, 10L), (3L, 10L), (4L, 10L))
     val idPairs = Seq((1L, 2L), (3L, 4L)).toDF("src", "dst") // two disjoint cliques
-    assert(Splits.idConnectedEntities(spark, records, idPairs).count() == 0)
+    assert(Splits.idConnectedEntities(records, idPairs).count() == 0)
   }
 
   test("idConnectedEntities treats singleton entities as clean") {
     val records = recs((1L, 10L))
     val idPairs = Seq.empty[(Long, Long)].toDF("src", "dst")
-    assert(Splits.idConnectedEntities(spark, records, idPairs)
+    assert(Splits.idConnectedEntities(records, idPairs)
       .collect().map(_.getLong(0)).toSet == Set(10L))
   }
 
   test("idConnectedEntities ignores cross-entity id pairs") {
     val records = recs((1L, 10L), (2L, 10L), (3L, 20L))
     val idPairs = Seq((1L, 3L)).toDF("src", "dst") // merger-style pollution
-    val clean = Splits.idConnectedEntities(spark, records, idPairs)
+    val clean = Splits.idConnectedEntities(records, idPairs)
       .collect().map(_.getLong(0)).toSet
     // entity 10 is NOT id-connected (1-2 lack an id edge); entity 20 is a singleton
     assert(clean == Set(20L))
@@ -107,9 +107,43 @@ class SplitsSpec extends SparkSpec {
   test("cleanLabeledPairs caps positives and keeps the 5:1 ratio") {
     val records = recs((1L to 20L).map(i => (i, i % 5)): _*)
     val idPairs = Splits.positivePairs(records).select("src", "dst") // fully connected groups
-    val lp = Splits.cleanLabeledPairs(spark, records, idPairs, maxPositives = 4, seed = 31L)
+    val lp = Splits.cleanLabeledPairs(records, idPairs, maxPositives = 4, seed = 31L)
     assert(lp.where($"label" === 1).count() == 4)
     assert(lp.where($"label" === 0).count() == 20)
+  }
+
+  test("cornerLabeledPairs: 5:1, cross-entity negatives, >= 80% siblings, deterministic") {
+    val family = floor($"entityId" / 4).cast("long")
+    // Generated WDC offers have fewer sibling pairs than 80% of the
+    // negatives; 30 families of four 2-record entities have enough.
+    val wdc = WdcGen.generate(spark, WdcGen.WdcParams(nFamilies = 120, seed = 5L)).toDF()
+      .select("recordId", "entityId")
+    val dense = recs((0L until 240L).map(r => (r, r / 2)): _*)
+    for (records <- Seq(wdc, dense)) {
+      val lp = Splits.cornerLabeledPairs(records, family, seed = 3L).cache()
+      val pos = lp.where($"label" === 1).count()
+      val neg = lp.where($"label" === 0)
+      val nNeg = neg.count()
+      // The random remainder is drawn before the pairs that repeat a sibling
+      // pair are dropped, and those are not redrawn, so the ratio may fall a
+      // little short of 5:1.
+      assert(pos > 0 && nNeg <= 5 * pos && nNeg >= 0.99 * 5 * pos, s"$nNeg negatives, $pos positives")
+
+      val fam = records.select($"recordId", $"entityId", family.as("family"))
+      val joined = neg
+        .join(fam.toDF("src", "eA", "fA"), "src")
+        .join(fam.toDF("dst", "eB", "fB"), "dst")
+      assert(joined.count() == nNeg)
+      assert(joined.where($"eA" === $"eB").count() == 0)
+      val siblingPairs = fam.toDF("src", "eA", "family")
+        .join(fam.toDF("dst", "eB", "family"), "family")
+        .where($"eA" =!= $"eB" && $"src" < $"dst")
+        .count()
+      assert(joined.where($"fA" === $"fB").count() >= math.min(siblingPairs, 0.8 * nNeg))
+
+      val again = Splits.cornerLabeledPairs(records, family, seed = 3L)
+      assert(again.collect().toSet == lp.collect().toSet)
+    }
   }
 
   test("on generated data, acquisition entities are filtered out as unclean") {
@@ -117,7 +151,7 @@ class SplitsSpec extends SparkSpec {
     val d = EmDatasets.generate(spark, p)
     val secs = d.securities.toDF().cache()
     val idPairs = IdOverlapBlocking.securityCandidates(secs).select("src", "dst")
-    val clean = Splits.idConnectedEntities(spark, secs, idPairs)
+    val clean = Splits.idConnectedEntities(secs, idPairs)
     val total = secs.select("entityId").distinct().count()
     val cleanN = clean.count()
     assert(cleanN > 0 && cleanN < total, s"clean $cleanN of $total")

@@ -88,7 +88,7 @@ class BetweennessSpec extends AnyFunSuite with Props {
 
   test("maxBetweennessEdge requires edges") {
     intercept[IllegalArgumentException] {
-      Betweenness.maxBetweennessEdge(LocalGraph.fromEdges(Nil, extraVertices = Seq(1L)))
+      Betweenness.maxBetweennessEdge(LocalGraph.fromEdges(Seq(1L -> 1L)))
     }
   }
 

@@ -37,7 +37,7 @@ class LocalGraphSpec extends AnyFunSuite with Props {
   }
 
   test("extra vertices are kept as isolated vertices") {
-    val gr = LocalGraph.fromEdges(Seq(1L -> 2L), extraVertices = Seq(9L))
+    val gr = LocalGraph.fromEdges(Seq(1L -> 2L, 9L -> 9L))
     assert(gr.vertices == Set(1L, 2L, 9L))
     assert(gr.components.map(_.toSeq.sorted) == Seq(Seq(1L, 2L), Seq(9L)))
   }

@@ -10,7 +10,7 @@ class MinCutSpec extends AnyFunSuite with Props {
 
   /** `gr` without the canonical edges `cut`, keeping every vertex. */
   private def without(gr: LocalGraph, cut: Set[(Long, Long)]): LocalGraph =
-    LocalGraph.fromEdges(gr.edges.filterNot(cut), gr.vertices)
+    LocalGraph.fromEdges(gr.edges.filterNot(cut) ++ gr.vertices.map(v => (v, v)))
 
   /** Brute-force minimum edge cut size: try all edge subsets up to |E|. */
   private def bruteMinCutSize(gr: LocalGraph): Int = {
@@ -73,7 +73,7 @@ class MinCutSpec extends AnyFunSuite with Props {
 
   test("requires at least 2 vertices") {
     intercept[IllegalArgumentException] {
-      MinCut.minimumEdgeCut(LocalGraph.fromEdges(Nil, extraVertices = Seq(1L)))
+      MinCut.minimumEdgeCut(LocalGraph.fromEdges(Seq(1L -> 1L)))
     }
   }
 
