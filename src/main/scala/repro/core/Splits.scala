@@ -80,13 +80,12 @@ object Splits {
     hashSample(pairs, nNeg, seed).withColumn("label", lit(0))
   }
 
-  /** Caches and counts the positive pairs `pos`, then adds
-    * `negatives(NegRatio × that count)`.
+  /** Counts the positive pairs `pos`, then adds `negatives(NegRatio × that
+    * count)`. Nothing is cached: the caller's consumption recomputes `pos`,
+    * so no storage outlives the call's result.
     */
-  private def withNegatives(pos: DataFrame)(negatives: Long => DataFrame): DataFrame = {
-    val cached = pos.cache()
-    cached.unionByName(negatives(NegRatio * cached.count()))
-  }
+  private def withNegatives(pos: DataFrame)(negatives: Long => DataFrame): DataFrame =
+    pos.unionByName(negatives(NegRatio * pos.count()))
 
   /** Positive + 5:1 negative labeled pairs for one split's records. */
   def labeledPairs(records: DataFrame, seed: Long): DataFrame =

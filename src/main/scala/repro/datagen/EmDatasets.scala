@@ -159,6 +159,16 @@ object EmDatasets {
   // pair events
   // ----------------------------------------------------------------------
 
+  /** The sources that recorded a pair event on group `gid`: each with
+    * probability 0.5, and one uniform source if that draws none. `stream`
+    * keeps the two events' draws apart.
+    */
+  private def eventSources(p: GenParams, gid: Long, stream: Long): Set[Int] = {
+    val rng = rngFor(p.seed, gid, stream)
+    val u = (1 to p.nSources).filter(_ => rng.nextDouble() < 0.5).toSet
+    if (u.nonEmpty) u else Set(1 + rng.nextInt(p.nSources))
+  }
+
   /** Applies the acquisition event: acquirer A absorbs acquiree B.
     *
     * All of B's records become matches of A's (paper §3.2): B's company
@@ -173,11 +183,7 @@ object EmDatasets {
   private[datagen] def applyAcquisition(
       p: GenParams, a: BaseCompany, b: BaseCompany, recsB: GroupRecords
   ): GroupRecords = {
-    val evRng = rngFor(p.seed, b.gid, 7L)
-    val updatedSources: Set[Int] = {
-      val u = (1 to p.nSources).filter(_ => evRng.nextDouble() < 0.5).toSet
-      if (u.nonEmpty) u else Set(1 + evRng.nextInt(p.nSources))
-    }
+    val updatedSources = eventSources(p, b.gid, 7L)
     val aSec0 = a.securities.head
 
     val companies = recsB.companies.map { c =>
@@ -218,11 +224,7 @@ object EmDatasets {
   private[datagen] def applyMerger(
       p: GenParams, a: BaseCompany, b: BaseCompany, recsB: GroupRecords
   ): GroupRecords = {
-    val evRng = rngFor(p.seed, b.gid, 10L)
-    val updatedSources: Set[Int] = {
-      val u = (1 to p.nSources).filter(_ => evRng.nextDouble() < 0.5).toSet
-      if (u.nonEmpty) u else Set(1 + evRng.nextInt(p.nSources))
-    }
+    val updatedSources = eventSources(p, b.gid, 10L)
     val aSec0 = a.securities.head
     val securities = recsB.securities.map { s =>
       val isPrimary = s.entityId == securityEntityId(b.gid, 0)

@@ -1,6 +1,7 @@
 package repro.datagen
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Column, Dataset, SparkSession}
+import org.apache.spark.sql.functions.{col, floor}
 import scala.util.Random
 
 import Artifacts.rngFor
@@ -56,6 +57,14 @@ object WdcGen {
 
   final case class WdcParams(nFamilies: Int, seed: Long)
 
+  /** Entity ids of one family: `famIdx * FamilyStride + sibling`. */
+  private val FamilyStride = 4
+
+  /** The product family of the `entityId` column: the `famIdx` of
+    * [[generateFamily]]'s entity id scheme.
+    */
+  def family: Column = floor(col("entityId") / FamilyStride).cast("long")
+
   private def groupSize(rng: Random): Int = {
     // heterogeneous, heavy at small sizes: 1 + geometric(0.35), capped
     var k = 1
@@ -96,7 +105,7 @@ object WdcGen {
     val nSiblings = if (corner) 2 + rng.nextInt(2) else 1
 
     (0 until nSiblings).flatMap { sib =>
-      val entityId = famIdx * 4 + sib
+      val entityId = famIdx * FamilyStride + sib
       val model    = s"$prefix${baseNum + sib * 10}"
       val k        = groupSize(rngFor(p.seed, famIdx, 2L, sib.toLong))
       (0 until k).map { r =>

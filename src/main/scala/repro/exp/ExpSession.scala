@@ -15,11 +15,15 @@ final class ExpSession(val spark: SparkSession) {
 
   import Experiments._
 
-  lazy val realCompaniesDs: Built       = realCompanies(spark)
-  lazy val syntheticCompaniesDs: Built  = syntheticCompanies(spark)
-  lazy val realSecuritiesDs: Built      = realSecurities(spark)
-  lazy val syntheticSecuritiesDs: Built = syntheticSecurities(spark)
-  lazy val wdcProductsDs: Built         = wdcProducts(spark)
+  lazy val realCompaniesDs: Built =
+    emDataset(spark, realParams, synthetic = false, securities = false)
+  lazy val syntheticCompaniesDs: Built =
+    emDataset(spark, syntheticParams, synthetic = true, securities = false)
+  lazy val realSecuritiesDs: Built =
+    emDataset(spark, realParams, synthetic = false, securities = true)
+  lazy val syntheticSecuritiesDs: Built =
+    emDataset(spark, syntheticParams, synthetic = true, securities = true)
+  lazy val wdcProductsDs: Built = wdcProducts(spark, wdcParams)
 
   def allDatasets: Seq[Built] = Seq(
     realCompaniesDs, syntheticCompaniesDs,
@@ -30,7 +34,7 @@ final class ExpSession(val spark: SparkSession) {
 
   /** Fine-tunes (or reuses) a variant on a dataset. */
   def trained(ds: Built, variant: ModelVariant): (TrainedModel, FineTuneRow) =
-    trainedCache.getOrElseUpdate((ds.name, variant.name), fineTune(spark, ds, variant))
+    trainedCache.getOrElseUpdate((ds.name, variant.name), fineTune(ds, variant))
 
   // ----------------------------------------------------------------------
   // table rendering
@@ -95,7 +99,7 @@ final class ExpSession(val spark: SparkSession) {
 
   private def thresholdRows(ds: Built, v: ModelVariant): Seq[(String, Thresholds)] =
     (v.name -> Thresholds(ds.gamma, ds.mu)) +: (
-      if (ds.name != "Synthetic Companies" || v != distilBert128All) Nil
+      if ((ds ne syntheticCompaniesDs) || v != distilBert128All) Nil
       else Seq(
         "DistilBERT (128)-ALL-MEC"         -> Thresholds(ds.mu, ds.mu),
         "DistilBERT (128)-ALL (1/2 gamma)" -> Thresholds(ds.gamma / 2, ds.mu),

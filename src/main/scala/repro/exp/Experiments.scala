@@ -36,7 +36,7 @@ object Experiments {
   // datasets
   // ----------------------------------------------------------------------
 
-  /** A dataset prepared for the experiments. */
+  /** A dataset prepared for the experiments, with its fine-tuning recipe. */
   final case class Built(
       name: String,
       /** full record set with a `split` column */
@@ -49,17 +49,24 @@ object Experiments {
       pipelineRecords: DataFrame,
       /** blocking candidates over `pipelineRecords` */
       candidates: DataFrame,
-      /** id-overlap pairs over the full records (15K clean-group filter) */
-      idPairs: DataFrame,
       gamma: Int,
       mu: Int,
       /** model variants evaluated on this dataset (paper Tables 3/4) */
       variants: Seq[ModelVariant],
-      /** WDC Products: fine-tuning negatives are corner cases (sibling
-        * entities of the same product family), not random pairs
+      /** the dataset's labeled `(src, dst, label)` pairs of one split's
+        * `(recordId, entityId)` records under a training policy, for a seed
         */
-      cornerNegatives: Boolean = false
-  )
+      sample: (TrainPolicy, DataFrame, Long) => DataFrame
+  ) {
+    private def split(s: Int): DataFrame =
+      records.where(col("split") === s).select("recordId", "entityId")
+
+    /** Fine-tuning pairs of the train split under `policy`. */
+    def trainPairs(policy: TrainPolicy): DataFrame = sample(policy, split(Splits.Train), Seed)
+
+    /** The test-split pairs every variant is scored on, sampled on first use. */
+    lazy val testPairs: DataFrame = sample(TrainAll, split(Splits.Test), Seed + 13).cache()
+  }
 
   /** 15K-policy positive-pair cap, scaled like the paper's 15K of ~900K. */
   def cap15k(records: DataFrame): Int = {
@@ -69,84 +76,71 @@ object Experiments {
 
   private def withSplit(df: DataFrame): DataFrame = Splits.withSplit(df, SplitSeed)
 
-  private def companyBuilt(
-      name: String, data: EmDatasets.EmData, gamma: Int, mu: Int,
-      pipelineOnTest: Boolean, variants: DataFrame => Seq[ModelVariant]
-  ): Built = {
-    val companies  = withSplit(data.companies.toDF()).cache()
-    val securities = data.securities.toDF().cache()
-    val pipeline =
-      if (pipelineOnTest) companies.where(col("split") === Splits.Test).cache()
-      else companies
-    // securities issued by the pipeline companies drive the id blocking
-    val secsOfPipeline = securities.join(
-      pipeline.select(col("recordId").as("issuerRecordId")),
-      Seq("issuerRecordId"), "left_semi")
-    val cands = Blocking.combine(
-      IdOverlapBlocking.companyCandidates(pipeline, secsOfPipeline),
-      TokenOverlapBlocking.candidates(pipeline, "name", topN = 5, maxDocFreq = 500))
-    val idPairsFull = IdOverlapBlocking.companyCandidates(companies, securities)
-      .select("src", "dst")
-    Built(name, companies, RecordSchema.Companies, pipeline, cands.cache(),
-      idPairsFull.cache(), gamma, mu, variants(companies))
+  private val threeModels: Seq[ModelVariant] = Seq(ditto128, ditto256, distilBert128All)
+
+  /** One of the four company and security datasets (paper Table 2), matching
+    * the security records if `securities`, else the company records. A
+    * synthetic dataset runs the pipeline on its test split at γ/μ 25/5 and
+    * adds the 15K variant; a real one runs it on every labeled record at 40/8.
+    */
+  def emDataset(spark: SparkSession, p: GenParams, synthetic: Boolean, securities: Boolean): Built = {
+    val data = EmDatasets.generate(spark, p)
+    val records = withSplit(if (securities) data.securities.toDF() else data.companies.toDF()).cache()
+    val companies = if (securities) data.companies.toDF().cache() else records
+    val secs = if (securities) records else data.securities.toDF().cache()
+    val pipeline = if (synthetic) records.where(col("split") === Splits.Test).cache() else records
+    val candidates =
+      if (securities) {
+        // Issuer Match needs a previous matching of the issuers; the paper's
+        // benchmark heuristic is used: company groups = connected components
+        // of the company id-overlap candidates.
+        val companyGroups = ConnectedComponents
+          .run(spark, IdOverlapBlocking.companyCandidates(companies, secs).select("src", "dst"),
+            Some(companies.select(col("recordId").as("id"))))
+          .select(col("id").as("recordId"), col("component").as("group"))
+        Blocking.combine(
+          IdOverlapBlocking.securityCandidates(pipeline),
+          IssuerMatchBlocking.candidates(pipeline, companyGroups))
+      } else {
+        // securities issued by the pipeline companies drive the id blocking
+        val secsOfPipeline = secs.join(
+          pipeline.select(col("recordId").as("issuerRecordId")), Seq("issuerRecordId"), "left_semi")
+        Blocking.combine(
+          IdOverlapBlocking.companyCandidates(pipeline, secsOfPipeline),
+          TokenOverlapBlocking.candidates(pipeline, "name", topN = 5, maxDocFreq = 500))
+      }
+    // id-overlap pairs over all records, read only by the 15K policy
+    lazy val idPairs =
+      (if (securities) IdOverlapBlocking.securityCandidates(records)
+       else IdOverlapBlocking.companyCandidates(records, secs)).select("src", "dst")
+    Built(
+      s"${if (synthetic) "Synthetic" else "Real"} ${if (securities) "Securities" else "Companies"}",
+      records, if (securities) RecordSchema.Securities else RecordSchema.Companies,
+      pipeline, candidates.cache(),
+      gamma = if (synthetic) 25 else 40, mu = if (synthetic) 5 else 8,
+      if (synthetic) Seq(ditto128, ditto256, distilBert128_15K(cap15k(records)), distilBert128All)
+      else threeModels,
+      (policy, splitRecords, seed) => policy match {
+        case TrainAll                     => Splits.labeledPairs(splitRecords, seed)
+        case TrainFilteredClean(maxPairs) => Splits.cleanLabeledPairs(splitRecords, idPairs, maxPairs, seed)
+      })
   }
 
-  private def securityBuilt(
-      name: String, data: EmDatasets.EmData, gamma: Int, mu: Int,
-      pipelineOnTest: Boolean, variants: DataFrame => Seq[ModelVariant]
-  )(spark: SparkSession): Built = {
-    val securities = withSplit(data.securities.toDF()).cache()
-    val companies  = data.companies.toDF().cache()
-    val pipeline =
-      if (pipelineOnTest) securities.where(col("split") === Splits.Test).cache()
-      else securities
-    // Issuer Match needs a previous matching of the issuers; the paper's
-    // benchmark heuristic is used: company groups = connected components of
-    // the company id-overlap candidates.
-    val companyIdPairs = IdOverlapBlocking.companyCandidates(companies, securities)
-    val companyGroups = ConnectedComponents
-      .run(spark, companyIdPairs.select("src", "dst"),
-        Some(companies.select(col("recordId").as("id"))))
-      .select(col("id").as("recordId"), col("component").as("group"))
-    val cands = Blocking.combine(
-      IdOverlapBlocking.securityCandidates(pipeline),
-      IssuerMatchBlocking.candidates(pipeline, companyGroups))
-    val idPairsFull = IdOverlapBlocking.securityCandidates(securities).select("src", "dst")
-    Built(name, securities, RecordSchema.Securities, pipeline, cands.cache(),
-      idPairsFull.cache(), gamma, mu, variants(securities))
-  }
-
-  private def threeModels: Seq[ModelVariant] = Seq(ditto128, ditto256, distilBert128All)
-
-  private def fourModels(records: DataFrame): Seq[ModelVariant] =
-    Seq(ditto128, ditto256, distilBert128_15K(cap15k(records)), distilBert128All)
-
-  def realCompanies(spark: SparkSession): Built =
-    companyBuilt("Real Companies", EmDatasets.generate(spark, realParams),
-      gamma = 40, mu = 8, pipelineOnTest = false, _ => threeModels)
-
-  def syntheticCompanies(spark: SparkSession): Built =
-    companyBuilt("Synthetic Companies", EmDatasets.generate(spark, syntheticParams),
-      gamma = 25, mu = 5, pipelineOnTest = true, fourModels)
-
-  def realSecurities(spark: SparkSession): Built =
-    securityBuilt("Real Securities", EmDatasets.generate(spark, realParams),
-      gamma = 40, mu = 8, pipelineOnTest = false, _ => threeModels)(spark)
-
-  def syntheticSecurities(spark: SparkSession): Built =
-    securityBuilt("Synthetic Securities", EmDatasets.generate(spark, syntheticParams),
-      gamma = 25, mu = 5, pipelineOnTest = true, fourModels)(spark)
-
-  def wdcProducts(spark: SparkSession): Built = {
-    val products = withSplit(WdcGen.generate(spark, wdcParams).toDF()).cache()
+  /** WDC Products: the pipeline runs on the test split at γ/μ 25/5, and the
+    * fine-tuning negatives are mostly corner cases, pairs of sibling
+    * entities (paper §5.1.4). Offers carry no identifiers, so there is no
+    * 15K policy.
+    */
+  def wdcProducts(spark: SparkSession, p: WdcGen.WdcParams): Built = {
+    val products = withSplit(WdcGen.generate(spark, p).toDF()).cache()
     val pipeline = products.where(col("split") === Splits.Test).cache()
     val cands = TokenOverlapBlocking.candidates(pipeline, "title", topN = 5, maxDocFreq = 500)
-    val empty = products.sparkSession.emptyDataFrame
-      .withColumn("src", lit(0L)).withColumn("dst", lit(0L))
-      .select("src", "dst").limit(0)
     Built("WDC Products", products, RecordSchema.Products, pipeline, cands.cache(),
-      empty, gamma = 25, mu = 5, threeModels,
-      cornerNegatives = true)
+      gamma = 25, mu = 5, threeModels,
+      (policy, splitRecords, seed) => {
+        require(policy == TrainAll, s"WDC Products has no identifiers for the $policy policy")
+        Splits.cornerLabeledPairs(splitRecords, WdcGen.family, seed)
+      })
   }
 
   // ----------------------------------------------------------------------
@@ -170,36 +164,19 @@ object Experiments {
     Metrics.PairScores(agg.getLong(0), agg.getLong(1), agg.getLong(2))
   }
 
-  /** Fine-tunes a variant on the train split and scores it on test pairs. */
-  def fineTune(spark: SparkSession, ds: Built, variant: ModelVariant): (TrainedModel, FineTuneRow) = {
-    val train = ds.records.where(col("split") === Splits.Train)
-    val family = floor(col("entityId") / 4).cast("long")
+  /** Fine-tunes a variant on the dataset's train pairs under the variant's
+    * policy and scores it on the dataset's test pairs.
+    */
+  def fineTune(ds: Built, variant: ModelVariant): (TrainedModel, FineTuneRow) = {
     val t0 = System.nanoTime()
-    val labeled = variant.trainPolicy match {
-      case TrainAll if ds.cornerNegatives =>
-        Splits.cornerLabeledPairs(train.select("recordId", "entityId"), family, seed = Seed)
-      case TrainAll =>
-        Splits.labeledPairs(train.select("recordId", "entityId"), seed = Seed)
-      case TrainFilteredClean(maxPairs) =>
-        Splits.cleanLabeledPairs(train.select("recordId", "entityId", "split"),
-          ds.idPairs, maxPairs, seed = Seed)
-    }
     val feat = PairwiseMatcher.featurize(
-      labeled, ds.records, ds.schema, variant.scheme, variant.tokenBudget)
+      ds.trainPairs(variant.trainPolicy), ds.records, ds.schema, variant.scheme, variant.tokenBudget)
     val (model, n) = PairwiseMatcher.train(feat)
     val seconds = (System.nanoTime() - t0) / 1e9
-    val trained = TrainedModel(variant, model, seconds, n)
-
-    val test = ds.records.where(col("split") === Splits.Test)
-    val testPairs =
-      if (ds.cornerNegatives)
-        Splits.cornerLabeledPairs(test.select("recordId", "entityId"), family, seed = Seed + 13)
-      else
-        Splits.labeledPairs(test.select("recordId", "entityId"), seed = Seed + 13)
     val testFeat = PairwiseMatcher.featurize(
-      testPairs, ds.records, ds.schema, variant.scheme, variant.tokenBudget)
+      ds.testPairs, ds.records, ds.schema, variant.scheme, variant.tokenBudget)
     val s = evalLabeled(PairwiseMatcher.predict(model, testFeat))
-    (trained,
+    (TrainedModel(variant, model, seconds, n),
       FineTuneRow(ds.name, variant.name, s.precision, s.recall, s.f1, seconds, n))
   }
 

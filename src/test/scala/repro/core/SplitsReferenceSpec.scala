@@ -18,7 +18,7 @@ class SplitsReferenceSpec extends SparkSpec {
   import spark.implicits._
 
   private val Seed = 17L
-  private val Family = floor(col("entityId") / 4).cast("long")
+  private val Family = WdcGen.family
 
   private def labeled(df: DataFrame): Set[(Long, Long, Int)] =
     df.select(col("src"), col("dst"), col("label")).as[(Long, Long, Int)].collect().toSet

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.{CacheManagerAccess, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.datagen.{EmDatasets, GenParams, WdcGen}
@@ -113,7 +114,7 @@ class SplitsSpec extends SparkSpec {
   }
 
   test("cornerLabeledPairs: 5:1, cross-entity negatives, >= 80% siblings, deterministic") {
-    val family = floor($"entityId" / 4).cast("long")
+    val family = WdcGen.family
     // Generated WDC offers have fewer sibling pairs than 80% of the
     // negatives; 30 families of four 2-record entities have enough.
     val wdc = WdcGen.generate(spark, WdcGen.WdcParams(nFamilies = 120, seed = 5L)).toDF()
@@ -143,6 +144,21 @@ class SplitsSpec extends SparkSpec {
 
       val again = Splits.cornerLabeledPairs(records, family, seed = 3L)
       assert(again.collect().toSet == lp.collect().toSet)
+    }
+  }
+
+  test("the labeled-pair samplers leave no cached frame behind once consumed") {
+    val samplers = Seq[DataFrame => DataFrame](
+      Splits.labeledPairs(_, seed = 3L),
+      Splits.cornerLabeledPairs(_, WdcGen.family, seed = 3L),
+      records => Splits.cleanLabeledPairs(
+        records, Splits.positivePairs(records).select("src", "dst"), maxPositives = 4, seed = 3L))
+    // fresh records per sampler, so no sampler finds another's frame cached
+    for ((sample, i) <- samplers.zipWithIndex) {
+      val records = recs((1L to 30L).map(r => (1000L * i + r, r % 6)): _*)
+      val before = CacheManagerAccess.numCachedEntries(spark)
+      assert(sample(records).collect().nonEmpty)
+      assert(CacheManagerAccess.numCachedEntries(spark) == before, s"sampler $i left a cached frame")
     }
   }
 
