@@ -7,8 +7,8 @@ import repro.exp.ExpSession
   *
   * Example:
   * {{{
-  * spark-submit --class jobs.TableJob repro-jobs.jar 4
-  * REPRO_SCALE=0.25 spark-submit --class jobs.TableJob repro-jobs.jar 1
+  * spark-submit --class jobs.TableJob target/scala-2.13/repro_2.13-0.1.0-SNAPSHOT.jar 4
+  * REPRO_SCALE=0.25 spark-submit --class jobs.TableJob target/scala-2.13/repro_2.13-0.1.0-SNAPSHOT.jar 1
   * }}}
   */
 object TableJob {

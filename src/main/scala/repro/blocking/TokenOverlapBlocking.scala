@@ -49,12 +49,7 @@ object TokenOverlapBlocking {
   }
 
   /** Candidate pairs: each record's top-`n` partners by token overlap. */
-  def candidates(
-      records: DataFrame,
-      textColumn: String = "name",
-      topN: Int = 5,
-      maxDocFreq: Int = 500
-  ): DataFrame = {
+  def candidates(records: DataFrame, textColumn: String, topN: Int, maxDocFreq: Int): DataFrame = {
     val counts = overlapCounts(records, textColumn, maxDocFreq)
     // rank each record's full partner list (symmetric view of the canonical
     // pairs); a pair survives if it is within the top n of either endpoint

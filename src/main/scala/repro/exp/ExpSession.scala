@@ -4,7 +4,8 @@ import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
 import repro.core.GraLMatch.Thresholds
-import repro.matcher.ModelZoo.{distilBert128All, ModelVariant, TrainedModel}
+import repro.matcher.LogisticModel
+import repro.matcher.ModelZoo.{distilBert128All, ModelVariant}
 
 /** One experiment session: builds each dataset once, trains each
   * (dataset, variant) once, and renders the paper-vs-measured text for
@@ -30,10 +31,10 @@ final class ExpSession(val spark: SparkSession) {
     realSecuritiesDs, syntheticSecuritiesDs, wdcProductsDs)
 
   private val trainedCache =
-    mutable.Map.empty[(String, String), (TrainedModel, FineTuneRow)]
+    mutable.Map.empty[(String, String), (LogisticModel, FineTuneRow)]
 
   /** Fine-tunes (or reuses) a variant on a dataset. */
-  def trained(ds: Built, variant: ModelVariant): (TrainedModel, FineTuneRow) =
+  def trained(ds: Built, variant: ModelVariant): (LogisticModel, FineTuneRow) =
     trainedCache.getOrElseUpdate((ds.name, variant.name), fineTune(ds, variant))
 
   // ----------------------------------------------------------------------
@@ -95,7 +96,7 @@ final class ExpSession(val spark: SparkSession) {
     */
   def table4Rows(): Seq[GroupMatchRow] =
     for (ds <- allDatasets; v <- ds.variants;
-         row <- groupMatch(spark, ds, trained(ds, v)._1, thresholdRows(ds, v))) yield row
+         row <- groupMatch(spark, ds, v, trained(ds, v)._1, thresholdRows(ds, v))) yield row
 
   private def thresholdRows(ds: Built, v: ModelVariant): Seq[(String, Thresholds)] =
     (v.name -> Thresholds(ds.gamma, ds.mu)) +: (

@@ -68,9 +68,9 @@ object Experiments {
     lazy val testPairs: DataFrame = sample(TrainAll, split(Splits.Test), Seed + 13).cache()
   }
 
-  /** 15K-policy positive-pair cap, scaled like the paper's 15K of ~900K. */
-  def cap15k(records: DataFrame): Int = {
-    val pos = Metrics.truthPairCount(records.where(col("split") === Splits.Train))
+  /** 15K-policy positive-pair cap of one split, scaled like the paper's 15K of ~900K. */
+  def cap15k(splitRecords: DataFrame): Int = {
+    val pos = Metrics.truthPairCount(splitRecords)
     math.max(200, (pos * 15000.0 / 900000.0).toInt)
   }
 
@@ -118,11 +118,12 @@ object Experiments {
       records, if (securities) RecordSchema.Securities else RecordSchema.Companies,
       pipeline, candidates.cache(),
       gamma = if (synthetic) 25 else 40, mu = if (synthetic) 5 else 8,
-      if (synthetic) Seq(ditto128, ditto256, distilBert128_15K(cap15k(records)), distilBert128All)
+      if (synthetic) Seq(ditto128, ditto256, distilBert128_15K, distilBert128All)
       else threeModels,
       (policy, splitRecords, seed) => policy match {
-        case TrainAll                     => Splits.labeledPairs(splitRecords, seed)
-        case TrainFilteredClean(maxPairs) => Splits.cleanLabeledPairs(splitRecords, idPairs, maxPairs, seed)
+        case TrainAll => Splits.labeledPairs(splitRecords, seed)
+        case TrainFilteredClean =>
+          Splits.cleanLabeledPairs(splitRecords, idPairs, cap15k(splitRecords), seed)
       })
   }
 
@@ -165,9 +166,10 @@ object Experiments {
   }
 
   /** Fine-tunes a variant on the dataset's train pairs under the variant's
-    * policy and scores it on the dataset's test pairs.
+    * policy and scores it on the dataset's test pairs. `trainSeconds` covers
+    * sampling the train pairs, featurizing them and training.
     */
-  def fineTune(ds: Built, variant: ModelVariant): (TrainedModel, FineTuneRow) = {
+  def fineTune(ds: Built, variant: ModelVariant): (LogisticModel, FineTuneRow) = {
     val t0 = System.nanoTime()
     val feat = PairwiseMatcher.featurize(
       ds.trainPairs(variant.trainPolicy), ds.records, ds.schema, variant.scheme, variant.tokenBudget)
@@ -176,8 +178,7 @@ object Experiments {
     val testFeat = PairwiseMatcher.featurize(
       ds.testPairs, ds.records, ds.schema, variant.scheme, variant.tokenBudget)
     val s = evalLabeled(PairwiseMatcher.predict(model, testFeat))
-    (TrainedModel(variant, model, seconds, n),
-      FineTuneRow(ds.name, variant.name, s.precision, s.recall, s.f1, seconds, n))
+    (model, FineTuneRow(ds.name, variant.name, s.precision, s.recall, s.f1, seconds, n))
   }
 
   // ----------------------------------------------------------------------
@@ -191,14 +192,14 @@ object Experiments {
       post: Pipeline.StageScores,
       inferenceSeconds: Double)
 
-  /** One Table-4 row per `(row label, thresholds)`, all from one prediction. */
+  /** One Table-4 row per `(row label, thresholds)`, all from one prediction of `model`. */
   def groupMatch(
-      spark: SparkSession, ds: Built, trained: TrainedModel,
+      spark: SparkSession, ds: Built, variant: ModelVariant, model: LogisticModel,
       thresholds: Seq[(String, GraLMatch.Thresholds)]
   ): Seq[GroupMatchRow] = {
     val p = Pipeline.predict(
-      spark, ds.pipelineRecords, ds.candidates, trained.model, ds.schema,
-      trained.variant.scheme, trained.variant.tokenBudget)
+      spark, ds.pipelineRecords, ds.candidates, model, ds.schema,
+      variant.scheme, variant.tokenBudget)
     try thresholds.map { case (label, th) =>
       val res = Pipeline.cleanup(p, th)
       res.groups.unpersist()

@@ -13,17 +13,6 @@ package repro.matcher
   */
 object Featurizer {
 
-  val FeatureNames: Vector[String] = Vector(
-    "tokenJaccard",     // |A ∩ B| / |A ∪ B| over token sets
-    "containment",      // |A ∩ B| / min(|A|, |B|)
-    "trigramJaccard",   // char-3-gram jaccard of the joined strings
-    "sharedIdTokens",   // shared identifier-looking tokens, capped at 3
-    "digitTokenSim",    // jaccard over digit-bearing tokens (model numbers)
-    "firstTokenEqual",  // leading tokens equal (brand / name head)
-    "lengthRatio",      // min/max token-sequence length
-    "prefixSim"         // char-4-gram jaccard of the first 6 tokens
-  )
-
   private def ngrams(s: String, n: Int): Set[String] =
     if (s.length < n) Set(s) else (0 to s.length - n).map(i => s.substring(i, i + n)).toSet
 
@@ -57,14 +46,22 @@ object Featurizer {
     val prefixB = b.take(6).mkString(" ")
 
     Array(
+      // token jaccard: |A ∩ B| / |A ∪ B| over token sets
       jaccard(sa, sb),
+      // containment: |A ∩ B| / min(|A|, |B|)
       if (minSize == 0) 0.0 else inter.size.toDouble / minSize,
+      // char-3-gram jaccard of the joined strings
       jaccard(ngrams(strA, 3), ngrams(strB, 3)),
+      // shared identifier-looking tokens, capped at 3
       math.min(sharedIds, 3).toDouble / 3.0,
+      // jaccard over digit-bearing tokens (model numbers)
       if (digA.isEmpty && digB.isEmpty) 0.0 else jaccard(digA, digB),
+      // leading tokens equal (brand / name head)
       if (a.nonEmpty && b.nonEmpty && a.head == b.head) 1.0 else 0.0,
+      // min/max token-sequence length
       if (a.isEmpty || b.isEmpty) 0.0
       else math.min(a.size, b.size).toDouble / math.max(a.size, b.size),
+      // prefix similarity: char-4-gram jaccard of the first 6 tokens
       jaccard(ngrams(prefixA, 4), ngrams(prefixB, 4))
     )
   }

@@ -20,7 +20,7 @@ object ModelZoo {
     * identifier overlaps, capped at a budget that scales like the paper's
     * 15K pairs relative to the full training set.
     */
-  final case class TrainFilteredClean(maxPairs: Int) extends TrainPolicy
+  case object TrainFilteredClean extends TrainPolicy
 
   final case class ModelVariant(
       name: String,
@@ -32,20 +32,12 @@ object ModelZoo {
   def distilBert128All: ModelVariant =
     ModelVariant("DistilBERT (128)-ALL", Serializer.Plain, 128, TrainAll)
 
-  def distilBert128_15K(maxPairs: Int): ModelVariant =
-    ModelVariant("DistilBERT (128)-15K", Serializer.Plain, 128, TrainFilteredClean(maxPairs))
+  def distilBert128_15K: ModelVariant =
+    ModelVariant("DistilBERT (128)-15K", Serializer.Plain, 128, TrainFilteredClean)
 
   def ditto128: ModelVariant =
     ModelVariant("DITTO (128)", Serializer.Ditto, 128, TrainAll)
 
   def ditto256: ModelVariant =
     ModelVariant("DITTO (256)", Serializer.Ditto, 256, TrainAll)
-
-  /** A trained variant plus its measured fine-tuning wall time. */
-  final case class TrainedModel(
-      variant: ModelVariant,
-      model: LogisticModel,
-      trainSeconds: Double,
-      nTrainPairs: Long
-  )
 }

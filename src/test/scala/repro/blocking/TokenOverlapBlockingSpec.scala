@@ -57,7 +57,7 @@ class TokenOverlapBlockingSpec extends SparkSpec {
       (2L, 2, "alpha beta gamma delta"),
       (3L, 2, "alpha beta gamma"),
       (4L, 1, "alpha beta gamma epsilon"))
-    val out = TokenOverlapBlocking.candidates(df, topN = 1, maxDocFreq = 100)
+    val out = TokenOverlapBlocking.candidates(df, "name", topN = 1, maxDocFreq = 100)
       .select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(out == Set((1L, 2L), (1L, 3L), (2L, 4L)))
   }
@@ -69,7 +69,7 @@ class TokenOverlapBlockingSpec extends SparkSpec {
       (2L, 2, "acme zurich widgets trading"),
       (3L, 2, "acme zurich widgets"),
       (5L, 2, "acme holdings"))
-    val out = TokenOverlapBlocking.candidates(df, topN = 1, maxDocFreq = 100)
+    val out = TokenOverlapBlocking.candidates(df, "name", topN = 1, maxDocFreq = 100)
       .select("src", "dst").collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     // top-1 of record 1 is record 2; top-1 of record 5 is record 1
     assert(out.contains((1L, 2L)))
@@ -78,14 +78,14 @@ class TokenOverlapBlockingSpec extends SparkSpec {
 
   test("provenance column is token_overlap") {
     val df = recs((1L, 1, "acme corp"), (2L, 2, "acme corp"))
-    val out = TokenOverlapBlocking.candidates(df, topN = 3, maxDocFreq = 100).collect()
+    val out = TokenOverlapBlocking.candidates(df, "name", topN = 3, maxDocFreq = 100).collect()
     assert(out.nonEmpty)
     assert(out.forall(_.getString(2) == Blocking.TokenOverlap))
   }
 
   test("no candidates when no tokens are shared") {
     val df = recs((1L, 1, "alpha beta"), (2L, 2, "gamma delta"))
-    assert(TokenOverlapBlocking.candidates(df).count() == 0)
+    assert(TokenOverlapBlocking.candidates(df, "name", topN = 5, maxDocFreq = 500).count() == 0)
   }
 
   test("oracle: overlap counts match DuckDB over the token index") {

@@ -1,11 +1,5 @@
 package repro.core
 
-import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-
-import org.apache.spark.sql.catalyst.plans.logical.{Range => RangePlan}
-import org.apache.spark.sql.execution.QueryExecution
-import org.apache.spark.sql.util.QueryExecutionListener
-
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -48,39 +42,10 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("scorePairs and scoreGroups each run one Spark action") {
-    // (action, end of the plan's Range if it has one)
-    val events = new LinkedBlockingQueue[(String, Option[Long])]()
-    val listener = new QueryExecutionListener {
-      private def put(funcName: String, qe: QueryExecution): Unit =
-        events.put(funcName -> qe.logical.collectFirst { case r: RangePlan => r.end })
-      def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        put(funcName, qe)
-      def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
-        put(funcName, qe)
-    }
-    // Listener events arrive asynchronously: counting a range of a fresh
-    // length marks the end of the actions before it.
-    var marker = 1000L
-    def actionsBeforeMarker(): Seq[String] = {
-      marker += 1
-      val m = marker
-      spark.range(m).count()
-      Iterator.continually(events.poll(60, TimeUnit.SECONDS))
-        .takeWhile(e => e != null && e._2 != Some(m)).map(_._1).toSeq
-    }
-    def actionsOf(score: => Any): Seq[String] = {
-      actionsBeforeMarker()
-      score
-      actionsBeforeMarker()
-    }
-
     val records = recs((1L, 1L), (2L, 1L), (3L, 1L), (4L, 2L))
-    spark.listenerManager.register(listener)
-    try {
-      assert(actionsOf(Metrics.scorePairs(pairs((1L, 2L), (1L, 4L)), records)) == Seq("head"))
-      assert(actionsOf(Metrics.scoreGroups(assign((1L, 1L), (2L, 1L), (3L, 3L)), records)) ==
-        Seq("head"))
-    } finally spark.listenerManager.unregister(listener)
+    assert(sparkActions(Metrics.scorePairs(pairs((1L, 2L), (1L, 4L)), records)) == Seq("head"))
+    assert(sparkActions(Metrics.scoreGroups(assign((1L, 1L), (2L, 1L), (3L, 3L)), records)) ==
+      Seq("head"))
   }
 
   test("scoreGroups on a perfect assignment") {

@@ -58,12 +58,11 @@ class ExperimentsSpec extends SparkSpec {
     val siblingNegatives = negatives.where(col("eA") =!= col("eB") && col("fA") === col("fB")).count()
     assert(siblingNegatives > 0)
     assert(siblingNegatives >= math.min(siblingPairs, 0.8 * negatives.count()))
-    intercept[IllegalArgumentException](wdc.trainPairs(TrainFilteredClean(10)))
+    intercept[IllegalArgumentException](wdc.trainPairs(TrainFilteredClean))
   }
 
   test("15K positives come only from id-connected entities and respect the cap") {
     for (ds <- Seq(synthCompanies, synthSecurities)) {
-      val cap = ds.variants.map(_.trainPolicy).collectFirst { case TrainFilteredClean(n) => n }.get
       val idPairs =
         if (ds eq synthSecurities) IdOverlapBlocking.securityCandidates(ds.records)
         else IdOverlapBlocking.companyCandidates(
@@ -72,13 +71,17 @@ class ExperimentsSpec extends SparkSpec {
       val clean = Splits.idConnectedEntities(train, idPairs.select("src", "dst"))
       val cleanPositives = Splits.positivePairs(train.join(clean, "entityId")).count()
 
-      val positives = labeled(ds.trainPairs(TrainFilteredClean(cap)), 1)
-      assert(positives.count() == math.min(cap, cleanPositives), ds.name)
+      val positives = labeled(ds.trainPairs(TrainFilteredClean), 1)
+      assert(positives.count() == math.min(cap15k(train), cleanPositives), ds.name)
       val unclean = positives
         .join(train.toDF("src", "entityId"), "src")
         .join(clean, Seq("entityId"), "left_anti")
       assert(unclean.count() == 0, ds.name)
     }
+  }
+
+  test("building a dataset runs no Spark action") {
+    assert(sparkActions(emDataset(spark, synthParams, synthetic = true, securities = false)) == Nil)
   }
 
   test("every variant of a dataset is scored on the same test pairs, sampled once") {

@@ -67,7 +67,11 @@ class FeaturizerSpec extends AnyFunSuite with Props {
   }
 
   test("feature vector has the declared arity") {
-    assert(Featurizer.features(Seq("x"), Seq("y")).length == Featurizer.FeatureNames.size)
+    // eight features, whatever the inputs, empty ones included
+    val inputs = Seq(
+      (Seq("x"), Seq("y")), (Seq.empty[String], Seq.empty[String]), (Seq("a"), Seq.empty[String]),
+      (Seq("swiss", "energy", "US318077556E"), Seq("swiss", "power", "US318077556E", "ltd")))
+    assert(inputs.map { case (a, b) => Featurizer.features(a, b).length }.toSet == Set(8))
   }
 
   test("features are symmetric in their arguments") {

@@ -16,13 +16,15 @@ class PairwiseMatcherSpec extends SparkSpec {
 
   private lazy val pairs = Seq((1L, 2L), (1L, 3L)).toDF("src", "dst")
 
+  private val nFeatures = Featurizer.features(Seq("x"), Seq("y")).length
+
   test("featurize joins both sides and emits the feature vector") {
     val out = PairwiseMatcher.featurize(
       pairs, records, RecordSchema.Securities, Serializer.Plain, 128)
     assert(out.count() == 2)
     val f = out.where($"src" === 1L && $"dst" === 2L)
       .select("features").as[Seq[Double]].head()
-    assert(f.size == Featurizer.FeatureNames.size)
+    assert(f.size == nFeatures)
     assert(f(3) > 0.0, "shared isin must be visible under the plain scheme")
   }
 
@@ -36,10 +38,10 @@ class PairwiseMatcherSpec extends SparkSpec {
   test("predict adds prob and pred columns honoring the threshold") {
     val feat = PairwiseMatcher.featurize(
       pairs, records, RecordSchema.Securities, Serializer.Plain, 128)
-    val model = LogisticModel(Array.fill(Featurizer.FeatureNames.size)(0.0), 10.0)
+    val model = LogisticModel(Array.fill(nFeatures)(0.0), 10.0)
     val out = PairwiseMatcher.predict(model, feat)
     assert(out.where($"pred").count() == 2) // bias 10 => always positive
-    val low = PairwiseMatcher.predict(LogisticModel(Array.fill(Featurizer.FeatureNames.size)(0.0), -10.0), feat)
+    val low = PairwiseMatcher.predict(LogisticModel(Array.fill(nFeatures)(0.0), -10.0), feat)
     assert(low.where($"pred").count() == 0)
   }
 
