@@ -1,9 +1,12 @@
 package jobs
 
+import java.io.PrintStream
+import java.nio.charset.StandardCharsets
+
 import repro.exp.ExpSession
 
 /** spark-submit entry point: prints the reproduced paper table named by its
-  * one argument, 1 to 4.
+  * one argument, 1 to 4, as UTF-8 whatever the platform charset.
   *
   * Example:
   * {{{
@@ -23,6 +26,7 @@ object TableJob {
         sys.exit(2)
     }
     val s = new ExpSession(ExpSession.sparkSession())
-    try println(text(s)) finally s.spark.stop()
+    val out = new PrintStream(System.out, true, StandardCharsets.UTF_8)
+    try out.println(text(s)) finally s.spark.stop()
   }
 }

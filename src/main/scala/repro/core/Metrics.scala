@@ -13,7 +13,10 @@ import org.apache.spark.sql.functions._
   * (even pathological) components cost nothing.
   *
   * Each score is one Spark action: one `head()` of its one-row aggregate
-  * cross-joined with the one-row ground-truth pair count.
+  * cross-joined with the one-row ground-truth pair count. That count is
+  * computed from the records unless the caller passes it in; [[Pipeline]]
+  * takes it from its stage-1 score (`tp + fn`), so a prediction computes
+  * it once.
   */
 object Metrics {
 
@@ -45,9 +48,11 @@ object Metrics {
     */
   def scorePairs(pairs: DataFrame, records: DataFrame): PairScores = {
     val ent = records.select(col("recordId"), col("entityId"))
+    // `dst` first: pipeline positives come out of a `dst` join, so a pair
+    // set already hash-partitioned by `dst` needs no exchange on that side
     val joined = pairs.select("src", "dst").distinct()
-      .join(ent.withColumnRenamed("recordId", "src").withColumnRenamed("entityId", "eA"), "src")
       .join(ent.withColumnRenamed("recordId", "dst").withColumnRenamed("entityId", "eB"), "dst")
+      .join(ent.withColumnRenamed("recordId", "src").withColumnRenamed("entityId", "eA"), "src")
     val agg = joined.agg(
       coalesce(sum(when(col("eA") === col("eB"), 1L).otherwise(0L)), lit(0L)).as("tp"),
       coalesce(sum(when(col("eA") =!= col("eB"), 1L).otherwise(0L)), lit(0L)).as("fp")
@@ -65,8 +70,32 @@ object Metrics {
     *                   form singleton components)
     */
   def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) = {
+    val (s, purity, _) = groupScores(assignment, records, None)
+    (s, purity)
+  }
+
+  /** [[scoreGroups]] against a known ground-truth pair count
+    * (`truthPairCount(records)`), which it then does not compute.
+    */
+  def scoreGroups(assignment: DataFrame, records: DataFrame, truth: Long): (PairScores, Double) = {
+    val (s, purity, _) = groupScores(assignment, records, Some(truth))
+    (s, purity)
+  }
+
+  /** [[scoreGroups]] plus the record count of the largest group (0 when
+    * there are no records); the ground-truth pair count is computed from
+    * `records` when `truth` is `None`.
+    */
+  private[core] def groupScores(
+      assignment: DataFrame, records: DataFrame, truth: Option[Long]
+  ): (PairScores, Double, Long) = {
+    val spark = records.sparkSession
+    import spark.implicits._
     val ent = records.select(col("recordId").as("id"), col("entityId"))
+    // one exchange: hash partitioning by `component` satisfies both
+    // groupBys below, so neither needs a shuffle of its own
     val tagged = assignment.toDF("id", "component").join(ent, "id")
+      .repartition(col("component"))
 
     // per (component, entity) record counts m → per component: n and Σ C(m,2)
     val perEntity = tagged.groupBy("component", "entityId").agg(count(lit(1)).as("m"))
@@ -81,13 +110,14 @@ object Metrics {
       // cluster purity numerator: |V_c| · tp_c / E_c, singletons count pure
       coalesce(sum(
         when(col("n") === 1, lit(1.0))
-          .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum")
-    ).crossJoin(truthPairs(records)).head()
+          .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum"),
+      coalesce(max(col("n")), lit(0L)).as("maxN")
+    ).crossJoin(truth.fold(truthPairs(records))(t => Seq(t).toDF("truth"))).head()
 
     val tp   = agg.getLong(0)
     val pred = agg.getLong(1)
     val nV   = agg.getLong(2)
     val purity = if (nV == 0) 0.0 else agg.getDouble(3) / nV
-    (PairScores(tp, pred - tp, agg.getLong(4) - tp), purity)
+    (PairScores(tp, pred - tp, agg.getLong(5) - tp), purity, agg.getLong(4))
   }
 }

@@ -17,11 +17,15 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * components are computed once per prediction, at stage 2. Pre Graph
   * Cleanup and GraLMatch only delete edges, so every final group lies
   * inside a stage-2 component: both reuse that assignment
-  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]).
+  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]). Pre Graph Cleanup only
+  * acts on a component over [[PreCleanup.MaxComponent]] records, so it is
+  * skipped when the largest stage-2 component is no larger.
   *
   * Besides the connected components, a run's Spark actions are the count
   * that materializes the cached positives (where the inference timer stops)
-  * and one `head()` per stage score ([[Metrics]]).
+  * and one `head()` per stage score ([[Metrics]]). The ground-truth pair
+  * count is computed once, by the stage-1 score: every true pair is a
+  * stage-1 tp or fn, so the stage-2 and stage-3 scores take `tp + fn`.
   */
 object Pipeline {
 
@@ -29,11 +33,12 @@ object Pipeline {
 
   /** Stages 1–2 over `records`: the stage-1 (`pairwise`) and stage-2
     * (`preCleanup`) scores, the inference time, the cached positives
-    * `(src, dst, blockings)` and their stage-2 `(id, component)` assignment.
+    * `(src, dst, blockings)`, their stage-2 `(id, component)` assignment
+    * and the record count of its largest component.
     */
   final case class Prediction(
       records: DataFrame, pairwise: Metrics.PairScores, preCleanup: StageScores,
-      inferenceSeconds: Double, positives: DataFrame, assign: DataFrame)
+      inferenceSeconds: Double, positives: DataFrame, assign: DataFrame, maxComponent: Long)
 
   /** A cleaned prediction: the stage-3 scores and the final `(id, group)`
     * assignment, cached.
@@ -76,19 +81,22 @@ object Pipeline {
     // the prediction's only connected-components pass; stage 3 reuses it
     val assign = ConnectedComponents
       .run(spark, positives.select("src", "dst"), Some(allIds))
-    val (preScores, prePurity) = Metrics.scoreGroups(assign, records)
+    val (preScores, prePurity, maxComponent) =
+      Metrics.groupScores(assign, records, Some(pairwise.tp + pairwise.fn))
 
     Prediction(records, pairwise, StageScores(preScores, prePurity), inferenceSeconds,
-      positives, assign)
+      positives, assign, maxComponent)
   }
 
   /** Stage 3: Pre Graph Cleanup, then GraLMatch at `thresholds` (Algorithm
     * 1's γ/μ). Leaves `p.positives` cached, so `p` can be cleaned again.
     */
   def cleanup(p: Prediction, thresholds: GraLMatch.Thresholds): Result = {
-    val kept = PreCleanup.keep(p.positives, p.assign)
+    val kept =
+      if (p.maxComponent > PreCleanup.MaxComponent) PreCleanup.keep(p.positives, p.assign)
+      else p.positives
     val groups = GraLMatch.cleanup(kept, p.assign, thresholds).cache()
-    val (postScores, postPurity) = Metrics.scoreGroups(groups, p.records)
+    val (postScores, postPurity) = Metrics.scoreGroups(groups, p.records, p.pairwise.tp + p.pairwise.fn)
     Result(p, StageScores(postScores, postPurity), groups)
   }
 

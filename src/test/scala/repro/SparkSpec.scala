@@ -1,8 +1,10 @@
 package repro
 
 import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import java.util.concurrent.atomic.AtomicLong
+import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
 
+import org.apache.spark.ListenerBusTestAccess
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.catalyst.plans.logical.{Range => RangePlan}
 import org.apache.spark.sql.execution.QueryExecution
@@ -47,6 +49,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
       body
       actionsBeforeMarker()
     } finally spark.listenerManager.unregister(listener)
+  }
+
+  /** The number of Spark jobs that `body` starts. */
+  def sparkJobs(body: => Any): Int = {
+    val sc = spark.sparkContext
+    val jobs = new AtomicInteger()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+    }
+    ListenerBusTestAccess.waitUntilEmpty(sc)
+    sc.addSparkListener(listener)
+    try {
+      body
+      ListenerBusTestAccess.waitUntilEmpty(sc)
+      jobs.get
+    } finally sc.removeSparkListener(listener)
   }
 
   override def afterAll(): Unit = { super.afterAll() }

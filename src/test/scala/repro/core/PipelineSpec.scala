@@ -5,6 +5,7 @@ import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.blocking.{Blocking, IdOverlapBlocking, TokenOverlapBlocking}
 import repro.datagen.{EmDatasets, GenParams}
+import repro.graph.ConnectedComponents
 import repro.matcher.{PairwiseMatcher, Serializer}
 import repro.matcher.PairwiseMatcher.RecordSchema
 
@@ -121,7 +122,46 @@ class PipelineSpec extends SparkSpec {
     val ids = secs.select("recordId").as[Long].collect().sorted.toSeq
     assert(groups(r) == ids.map(i => (i, i)))
     assert(r.postCleanup.scores.tp == 0 && r.postCleanup.scores.fp == 0)
+    assert(r.prediction.maxComponent == 1)
     r.groups.unpersist()
+  }
+
+  test("maxComponent is the record count of the largest stage-2 component") {
+    val largest = prediction.assign.groupBy("component").count()
+      .agg(max("count")).as[Long].head()
+    assert(prediction.maxComponent == largest)
+  }
+
+  test("cleanup runs Pre Graph Cleanup on a prediction with a component over 50 records") {
+    // a 60-record token-only chain with three id-overlap edges: pre-cleanup
+    // leaves only those, which changes what GraLMatch sees
+    val token = Seq(Blocking.TokenOverlap)
+    val idEdges = Set(10L, 30L, 50L)
+    val positives = (1L until 60L)
+      .map(i => (i, i + 1, if (idEdges(i)) Seq(Blocking.IdOverlap) else token))
+      .toDF("src", "dst", "blockings")
+    val records = (1L to 60L).map(i => (i, (i + 1) / 2)).toDF("recordId", "entityId")
+    val allIds = records.select($"recordId".as("id"))
+    val assign = ConnectedComponents.run(spark, positives.select("src", "dst"), Some(allIds))
+    val pairwise = Metrics.scorePairs(positives, records)
+    val (pre, prePurity) = Metrics.scoreGroups(assign, records)
+    val p = Pipeline.Prediction(records, pairwise, Pipeline.StageScores(pre, prePurity),
+      0.0, positives, assign, maxComponent = 60)
+
+    val th = GraLMatch.Thresholds(25, 5)
+    def sorted(g: DataFrame) = g.as[(Long, Long)].collect().sorted.toSeq
+    val expected = sorted(GraLMatch.cleanup(PreCleanup.keep(p.positives, p.assign), p.assign, th))
+    val r = Pipeline.cleanup(p, th)
+    assert(groups(r) == expected)
+    r.groups.unpersist()
+    assert(sorted(GraLMatch.cleanup(p.positives, p.assign, th)) != expected)
+  }
+
+  test("one run on the fixture starts at most 54 Spark jobs") {
+    fixtures
+    val jobs = sparkJobs(run(GraLMatch.Thresholds(25, 5)).groups.unpersist())
+    info(s"$jobs Spark jobs")
+    assert(jobs <= 54, s"$jobs Spark jobs")
   }
 
   test("run gives the same groups at 1, 7 and 64 shuffle partitions and in any row order") {
