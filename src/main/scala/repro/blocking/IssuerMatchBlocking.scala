@@ -15,21 +15,22 @@ object IssuerMatchBlocking {
 
   /** @param securities    security records with `recordId`, `source`,
     *                      `issuerRecordId`
-    * @param companyGroups `(recordId, group)` — the previous company
-    *                      matching's output (company record → group id)
+    * @param companyGroups `(id, component)` — the previous company
+    *                      matching's output (company record → group label),
+    *                      in the columns of [[repro.graph.ConnectedComponents]]
     */
   def candidates(securities: DataFrame, companyGroups: DataFrame): DataFrame = {
     val linked = securities
       .where(col("issuerRecordId") =!= -1L)
       .select(col("recordId"), col("source"), col("issuerRecordId"))
       .join(
-        companyGroups.select(col("recordId").as("issuerRecordId"), col("group")),
+        companyGroups.select(col("id").as("issuerRecordId"), col("component")),
         "issuerRecordId")
-    val a = linked.select(col("recordId").as("aId"), col("source").as("aSrc"), col("group"))
-    val b = linked.select(col("recordId").as("bId"), col("source").as("bSrc"), col("group"))
+    val a = linked.select(col("recordId").as("aId"), col("source").as("aSrc"), col("component"))
+    val b = linked.select(col("recordId").as("bId"), col("source").as("bSrc"), col("component"))
     Blocking
       .canonicalize(
-        a.join(b, "group").where(col("aSrc") =!= col("bSrc")),
+        a.join(b, "component").where(col("aSrc") =!= col("bSrc")),
         col("aId"), col("bId"))
       .distinct()
       .withColumn("blocking", lit(Blocking.IssuerMatch))

@@ -21,13 +21,12 @@ import repro.graph.{Betweenness, ConnectedComponents, LocalGraph, MinCut}
   *
   * Distribution: operations on one component never affect another, so the
   * paper's global argmax loop is equivalent to processing every initial
-  * component independently — a `cogroup` by component of the edges and the
-  * member ids, where each group runs the two phases once on its
-  * component's local edge list plus a self-loop per member, so the members
-  * without an edge come back as singletons. The grouping key may be any
-  * component assignment the edges refine (e.g. the components before Pre
-  * Graph Cleanup): the local kernel splits its input into connected
-  * components itself.
+  * component independently — one grouping by component of the edges and a
+  * self-loop per member, where each group runs the two phases once on its
+  * component's local edge list, so the members without an edge come back
+  * as singletons. The grouping key may be any component assignment the
+  * edges refine (e.g. the components before Pre Graph Cleanup): the local
+  * kernel splits its input into connected components itself.
   */
 object GraLMatch {
 
@@ -103,21 +102,19 @@ object GraLMatch {
     val spark = edges.sparkSession
     import spark.implicits._
 
-    // Parallel and reversed edges reach the kernel, whose LocalGraph
+    // One row per edge, keyed by its component, and one self-loop per
+    // member. Parallel and reversed edges reach the kernel, whose LocalGraph
     // collapses them.
-    val edgesByComp = edges
+    val rows = edges
       .select(col("src").cast("long"), col("dst").cast("long"))
       .join(assign.withColumnRenamed("id", "src"), "src")
       .select(col("component"), col("src"), col("dst"))
-      .as[(Long, Long, Long)]
-      .groupByKey(_._1)
-    val membersByComp = assign.select(col("component"), col("id")).as[(Long, Long)].groupByKey(_._1)
+      .union(assign.select(col("component"), col("id"), col("id")))
 
-    membersByComp
-      .cogroup(edgesByComp) { (_, members, rows) =>
-        val loops = members.map(m => (m._2, m._2))
-        cleanupComponent((loops ++ rows.map(r => (r._2, r._3))).toSeq, thresholds)
-      }
+    rows
+      .groupBy(col("component"))
+      .as[Long, (Long, Long, Long)]
+      .flatMapGroups((_, rs) => cleanupComponent(rs.map(r => (r._2, r._3)).toSeq, thresholds))
       .toDF("id", "group")
   }
 }

@@ -74,14 +74,6 @@ object Metrics {
     (s, purity)
   }
 
-  /** [[scoreGroups]] against a known ground-truth pair count
-    * (`truthPairCount(records)`), which it then does not compute.
-    */
-  def scoreGroups(assignment: DataFrame, records: DataFrame, truth: Long): (PairScores, Double) = {
-    val (s, purity, _) = groupScores(assignment, records, Some(truth))
-    (s, purity)
-  }
-
   /** [[scoreGroups]] plus the record count of the largest group (0 when
     * there are no records); the ground-truth pair count is computed from
     * `records` when `truth` is `None`.

@@ -96,7 +96,8 @@ object Pipeline {
       if (p.maxComponent > PreCleanup.MaxComponent) PreCleanup.keep(p.positives, p.assign)
       else p.positives
     val groups = GraLMatch.cleanup(kept, p.assign, thresholds).cache()
-    val (postScores, postPurity) = Metrics.scoreGroups(groups, p.records, p.pairwise.tp + p.pairwise.fn)
+    val (postScores, postPurity, _) =
+      Metrics.groupScores(groups, p.records, Some(p.pairwise.tp + p.pairwise.fn))
     Result(p, StageScores(postScores, postPurity), groups)
   }
 

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.blocking.Blocking
@@ -41,10 +42,9 @@ object PreCleanup {
     * @return the retained edges (same schema as `edges`)
     */
   def keep(edges: DataFrame, assign: DataFrame): DataFrame = {
-    val compSize = assign.groupBy("component").agg(count(lit(1)).as("size"))
-    val bigComps = compSize.where(col("size") > MaxComponent).select("component")
     val compOf = assign
-      .join(bigComps, "component")
+      .withColumn("size", count(lit(1)).over(Window.partitionBy("component")))
+      .where(col("size") > MaxComponent)
       .select(col("id").as("src"), lit(true).as("inBig"))
 
     val tokenOnly =

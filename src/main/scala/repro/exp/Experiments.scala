@@ -97,7 +97,6 @@ object Experiments {
         val companyGroups = ConnectedComponents
           .run(spark, IdOverlapBlocking.companyCandidates(companies, secs).select("src", "dst"),
             Some(companies.select(col("recordId").as("id"))))
-          .select(col("id").as("recordId"), col("component").as("group"))
         Blocking.combine(
           IdOverlapBlocking.securityCandidates(pipeline),
           IssuerMatchBlocking.candidates(pipeline, companyGroups))

@@ -1,12 +1,13 @@
 package repro
 
-import java.util.concurrent.{LinkedBlockingQueue, TimeUnit}
-import java.util.concurrent.atomic.{AtomicInteger, AtomicLong}
+import java.util.concurrent.ConcurrentLinkedQueue
+import java.util.concurrent.atomic.AtomicInteger
 
-import org.apache.spark.ListenerBusTestAccess
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.ListenerBusAccess
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.catalyst.plans.logical.{Range => RangePlan}
 import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.BeforeAndAfterAll
@@ -25,29 +26,22 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 
   /** The Spark SQL actions (`head`, `count`, …) that `body` runs, in order. */
   def sparkActions(body: => Any): Seq[String] = {
-    // (action, end of the plan's Range if it has one)
-    val events = new LinkedBlockingQueue[(String, Option[Long])]()
+    val sc = spark.sparkContext
+    val actions = new ConcurrentLinkedQueue[String]()
     val listener = new QueryExecutionListener {
-      private def put(funcName: String, qe: QueryExecution): Unit =
-        events.put(funcName -> qe.logical.collectFirst { case r: RangePlan => r.end })
       def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        put(funcName, qe)
+        actions.add(funcName)
       def onFailure(funcName: String, qe: QueryExecution, exception: Exception): Unit =
-        put(funcName, qe)
+        actions.add(funcName)
     }
-    // Listener events arrive asynchronously: counting a range of a fresh
-    // length marks the end of the actions before it.
-    def actionsBeforeMarker(): Seq[String] = {
-      val m = SparkSpec.marker.incrementAndGet()
-      spark.range(m).count()
-      Iterator.continually(events.poll(60, TimeUnit.SECONDS))
-        .takeWhile(e => e != null && e._2 != Some(m)).map(_._1).toSeq
-    }
+    // These events travel on the listener bus too: drain it of earlier
+    // actions before listening, and of `body`'s before reading.
+    ListenerBusAccess.waitUntilEmpty(sc)
     spark.listenerManager.register(listener)
     try {
-      actionsBeforeMarker()
       body
-      actionsBeforeMarker()
+      ListenerBusAccess.waitUntilEmpty(sc)
+      actions.asScala.toSeq
     } finally spark.listenerManager.unregister(listener)
   }
 
@@ -58,11 +52,11 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
     }
-    ListenerBusTestAccess.waitUntilEmpty(sc)
+    ListenerBusAccess.waitUntilEmpty(sc)
     sc.addSparkListener(listener)
     try {
       body
-      ListenerBusTestAccess.waitUntilEmpty(sc)
+      ListenerBusAccess.waitUntilEmpty(sc)
       jobs.get
     } finally sc.removeSparkListener(listener)
   }
@@ -71,8 +65,6 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
 }
 
 object SparkSpec {
-  private val marker = new AtomicLong(1000L)
-
   lazy val shared: SparkSession = {
     val s = ExpSession.sparkSession()
     // One line in test output that tells the driver whether the cgroup

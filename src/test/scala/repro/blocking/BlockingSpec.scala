@@ -28,7 +28,6 @@ class BlockingSpec extends SparkSpec {
     val companyGroups = ConnectedComponents
       .run(spark, IdOverlapBlocking.companyCandidates(data.companies.toDF(), securities),
         Some(data.companies.toDF().select(col("recordId").as("id"))))
-      .select(col("id").as("recordId"), col("component").as("group"))
     val cands = Blocking.combine(
       IdOverlapBlocking.securityCandidates(securities),
       IssuerMatchBlocking.candidates(securities, companyGroups))

@@ -11,7 +11,7 @@ class IssuerMatchBlockingSpec extends SparkSpec {
     rows.toDF("recordId", "source", "issuerRecordId")
 
   private def groups(rows: (Long, Long)*): DataFrame =
-    rows.toDF("recordId", "group")
+    rows.toDF("id", "component")
 
   test("securities of same-group issuers pair cross-source") {
     val out = IssuerMatchBlocking
@@ -65,21 +65,20 @@ class IssuerMatchBlockingSpec extends SparkSpec {
   test("oracle: issuer-match candidates match DuckDB") {
     val s = secs((1L, 1, 11L), (2L, 2, 22L), (3L, 3, 33L), (4L, 1, 44L), (5L, 2, -1L))
     val g = groups((11L, 7L), (22L, 7L), (33L, 7L), (44L, 9L))
-    // `group` is a SQL keyword — feed the oracle a renamed copy
     Oracle.assertEquivalent(
       IssuerMatchBlocking.candidates(s, g).select("src", "dst"),
       """SELECT DISTINCT
         |  LEAST(CAST(a.recordId AS BIGINT), CAST(b.recordId AS BIGINT)) AS src,
         |  GREATEST(CAST(a.recordId AS BIGINT), CAST(b.recordId AS BIGINT)) AS dst
         |FROM secs a
-        |JOIN grps ga ON a.issuerRecordId = ga.recordId
+        |JOIN grps ga ON a.issuerRecordId = ga.id
         |JOIN secs b ON b.source <> a.source AND b.recordId <> a.recordId
-        |JOIN grps gb ON b.issuerRecordId = gb.recordId
-        |WHERE ga.grp = gb.grp
+        |JOIN grps gb ON b.issuerRecordId = gb.id
+        |WHERE ga.component = gb.component
         |  AND CAST(a.issuerRecordId AS BIGINT) >= 0
         |  AND CAST(b.issuerRecordId AS BIGINT) >= 0""".stripMargin,
       "secs" -> s,
-      "grps" -> g.withColumnRenamed("group", "grp")
+      "grps" -> g
     )
   }
 }

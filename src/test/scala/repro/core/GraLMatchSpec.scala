@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.execution.{CoGroupExec, MapGroupsExec}
+import org.apache.spark.sql.execution.MapGroupsExec
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.scalacheck.{Gen, Prop}
 
 import repro.SparkSpec
@@ -147,9 +149,17 @@ class GraLMatchSpec extends SparkSpec with Props {
   }
 
   test("cleanup plans one per-component kernel node") {
-    val plan = cleanupRows(barbell, (1L to 8L).map(_ -> 1L)).queryExecution.sparkPlan
-    val kernels = plan.collect { case p: MapGroupsExec => p; case p: CoGroupExec => p }
-    assert(kernels.size == 1, plan.treeString)
+    val qe = cleanupRows(barbell, (1L to 8L).map(_ -> 1L)).queryExecution
+    val kernels = qe.sparkPlan.collect { case p: MapGroupsExec => p }
+    assert(kernels.size == 1, qe.sparkPlan.treeString)
+    // two exchanges for the join of the edges to their component, one for
+    // the grouping that feeds the kernel
+    val initial = qe.executedPlan match {
+      case a: AdaptiveSparkPlanExec => a.initialPlan
+      case p => p
+    }
+    val exchanges = initial.collect { case e: ShuffleExchangeExec => e }
+    assert(exchanges.size == 3, initial.treeString)
   }
 
   // Groups of one CC pass shared by pre-cleanup and cleanup, checked equal

@@ -12,11 +12,11 @@ class MetricsSpec extends SparkSpec {
   private def pairs(rows: (Long, Long)*) = rows.toDF("src", "dst")
   private def assign(rows: (Long, Long)*) = rows.toDF("id", "component")
 
-  // Metrics.scoreGroups, checked against its overload that is handed the
+  // Metrics.scoreGroups, checked against Metrics.groupScores handed the
   // ground-truth pair count
   private def scoreGroups(a: DataFrame, records: DataFrame): (Metrics.PairScores, Double) = {
     val (s, pur) = Metrics.scoreGroups(a, records)
-    val (s2, pur2) = Metrics.scoreGroups(a, records, Metrics.truthPairCount(records))
+    val (s2, pur2, _) = Metrics.groupScores(a, records, Some(Metrics.truthPairCount(records)))
     assert(s2 == s)
     assert(math.abs(pur2 - pur) < 1e-12)
     (s, pur)
@@ -58,7 +58,7 @@ class MetricsSpec extends SparkSpec {
     val a = assign((1L, 1L), (2L, 1L), (3L, 3L))
     assert(sparkActions(Metrics.scorePairs(pairs((1L, 2L), (1L, 4L)), records)) == Seq("head"))
     assert(sparkActions(Metrics.scoreGroups(a, records)) == Seq("head"))
-    assert(sparkActions(Metrics.scoreGroups(a, records, 3L)) == Seq("head"))
+    assert(sparkActions(Metrics.groupScores(a, records, Some(3L))) == Seq("head"))
   }
 
   test("scoreGroups on a perfect assignment") {

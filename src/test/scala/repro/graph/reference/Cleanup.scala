@@ -10,11 +10,8 @@ import repro.core.GraLMatch.Thresholds
 object Cleanup {
 
   def cleanupComponent(edges: Seq[(Long, Long)], thresholds: Thresholds): Seq[(Long, Long)] = {
-    val maxLocalVertices = 1500
     var g = LocalGraph.fromEdges(edges)
-    // Components are only ever split, so one within the valve stays within.
-    def over(limit: Int) =
-      g.components.filter(c => c.size > limit && c.size <= maxLocalVertices)
+    def over(limit: Int) = g.components.filter(_.size > limit)
 
     // Phase 1: minimum edge cut until every subcomponent is <= gamma.
     var guard = g.numEdges + 1
