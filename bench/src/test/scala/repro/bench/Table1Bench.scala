@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.Experiments
+import repro.exp.{ExpSession, Experiments}
 
 /** Reproduces paper Table 1: general statistics of the datasets.
   *
@@ -14,7 +14,7 @@ class Table1Bench extends SparkSpec {
   private lazy val s = BenchSession.session
 
   test("print Table 1 (paper vs ours)") {
-    println(s.table1Text())
+    ExpSession.printTable(s.table1Text())
   }
 
   test("synthetic companies: 5 sources, ~4.3 records/entity, ~7.5 matches/entity") {

@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.blocking.Blocking
+import repro.exp.ExpSession
 
 /** Reproduces paper Table 2: blockings, record and candidate-pair counts
   * of the entity group matching experiment, plus the γ/μ thresholds.
@@ -11,7 +12,7 @@ class Table2Bench extends SparkSpec {
   private lazy val s = BenchSession.session
 
   test("print Table 2 (paper vs ours)") {
-    println(s.table2Text())
+    ExpSession.printTable(s.table2Text())
   }
 
   test("every dataset produces a non-trivial candidate set") {

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.exp.ExpSession
 import repro.exp.Experiments.FineTuneRow
 
 /** Reproduces paper Table 3: fine-tuning pairwise scores on test pairs.
@@ -18,7 +19,7 @@ class Table3Bench extends SparkSpec {
 
   test("print Table 3 (paper vs ours)") {
     rows // force
-    println(s.table3Text())
+    ExpSession.printTable(s.table3Text())
   }
 
   test("companies: DistilBERT-ALL reaches high scores on real and synthetic") {

@@ -1,6 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
+import repro.exp.ExpSession
 import repro.exp.Experiments.GroupMatchRow
 
 /** Reproduces paper Table 4: the end-to-end entity group matching
@@ -24,7 +25,7 @@ class Table4Bench extends SparkSpec {
     allRows.map(r => (r.dataset, r.model) -> r).toMap
 
   test("print Table 4 (paper vs ours)") {
-    println(s.table4Text(allRows))
+    ExpSession.printTable(s.table4Text(allRows))
   }
 
   test("pre-cleanup precision collapses on synthetic companies") {

@@ -1,8 +1,5 @@
 package jobs
 
-import java.io.PrintStream
-import java.nio.charset.StandardCharsets
-
 import repro.exp.ExpSession
 
 /** spark-submit entry point: prints the reproduced paper table named by its
@@ -26,7 +23,6 @@ object TableJob {
         sys.exit(2)
     }
     val s = new ExpSession(ExpSession.sparkSession())
-    val out = new PrintStream(System.out, true, StandardCharsets.UTF_8)
-    try out.println(text(s)) finally s.spark.stop()
+    try ExpSession.printTable(text(s)) finally s.spark.stop()
   }
 }

@@ -92,9 +92,12 @@ object GraLMatch {
   /** Algorithm 1 over `edges`, one kernel run per component of `assign`.
     * Each member reaches the kernel as a self-loop `(id, id)`, which keeps
     * its vertex only, so members without an edge come back as singletons.
+    * When the edges carry their provenance (`blockings`), the task applies
+    * Pre Graph Cleanup (§4.2.1) first: in a component of more than
+    * [[PreCleanup.MaxComponent]] members it drops the token-only edges.
     *
-    * @param edges  predictions to clean (`src`, `dst`); every edge must lie
-    *               inside one component of `assign`
+    * @param edges  predictions (`src`, `dst`, optionally `blockings`); every
+    *               edge must lie inside one component of `assign`
     * @param assign `(id, component)` for every record to assign
     * @return `(id, group)` — the final entity group assignment
     */
@@ -103,18 +106,25 @@ object GraLMatch {
     import spark.implicits._
 
     // One row per edge, keyed by its component, and one self-loop per
-    // member. Parallel and reversed edges reach the kernel, whose LocalGraph
-    // collapses them.
+    // member; with provenance, a token-only flag follows. Parallel and
+    // reversed edges reach the kernel, whose LocalGraph collapses them.
+    val flag = if (edges.columns.contains("blockings")) Seq(PreCleanup.tokenOnly.as("t")) else Nil
     val rows = edges
-      .select(col("src").cast("long"), col("dst").cast("long"))
+      .select(col("src").cast("long") +: col("dst").cast("long") +: flag: _*)
       .join(assign.withColumnRenamed("id", "src"), "src")
-      .select(col("component"), col("src"), col("dst"))
-      .union(assign.select(col("component"), col("id"), col("id")))
-
-    rows
+      .select(col("component") +: col("src") +: col("dst") +: flag.map(_ => col("t")): _*)
+      .union(assign.select(col("component") +: col("id") +: col("id") +: flag.map(_ => lit(false)): _*))
       .groupBy(col("component"))
-      .as[Long, (Long, Long, Long)]
-      .flatMapGroups((_, rs) => cleanupComponent(rs.map(r => (r._2, r._3)).toSeq, thresholds))
-      .toDF("id", "group")
+
+    (if (flag.isEmpty)
+      rows.as[Long, (Long, Long, Long)]
+        .flatMapGroups((_, rs) => cleanupComponent(rs.map(r => (r._2, r._3)).toSeq, thresholds))
+    else
+      rows.as[Long, (Long, Long, Long, Boolean)].flatMapGroups { (_, rs) =>
+        val all = rs.toSeq
+        // a member per self-loop: predictions never pair a record with itself
+        val big = all.count(r => r._2 == r._3) > PreCleanup.MaxComponent
+        cleanupComponent(all.collect { case (_, s, d, t) if !(big && t) => (s, d) }, thresholds)
+      }).toDF("id", "group")
   }
 }

@@ -69,18 +69,13 @@ object Metrics {
     *                   record must appear (records with no predicted match
     *                   form singleton components)
     */
-  def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) = {
-    val (s, purity, _) = groupScores(assignment, records, None)
-    (s, purity)
-  }
+  def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) =
+    groupScores(assignment, records, None)
 
-  /** [[scoreGroups]] plus the record count of the largest group (0 when
-    * there are no records); the ground-truth pair count is computed from
-    * `records` when `truth` is `None`.
-    */
+  /** [[scoreGroups]], given the ground-truth pair count unless `truth` is `None`. */
   private[core] def groupScores(
       assignment: DataFrame, records: DataFrame, truth: Option[Long]
-  ): (PairScores, Double, Long) = {
+  ): (PairScores, Double) = {
     val spark = records.sparkSession
     import spark.implicits._
     val ent = records.select(col("recordId").as("id"), col("entityId"))
@@ -102,14 +97,13 @@ object Metrics {
       // cluster purity numerator: |V_c| · tp_c / E_c, singletons count pure
       coalesce(sum(
         when(col("n") === 1, lit(1.0))
-          .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum"),
-      coalesce(max(col("n")), lit(0L)).as("maxN")
+          .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum")
     ).crossJoin(truth.fold(truthPairs(records))(t => Seq(t).toDF("truth"))).head()
 
     val tp   = agg.getLong(0)
     val pred = agg.getLong(1)
     val nV   = agg.getLong(2)
     val purity = if (nV == 0) 0.0 else agg.getDouble(3) / nV
-    (PairScores(tp, pred - tp, agg.getLong(5) - tp), purity, agg.getLong(4))
+    (PairScores(tp, pred - tp, agg.getLong(4) - tp), purity)
   }
 }

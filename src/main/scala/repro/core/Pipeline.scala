@@ -16,10 +16,8 @@ import repro.matcher.PairwiseMatcher.RecordSchema
   * can be cleaned at several γ/μ (Table 4's sensitivity rows). Connected
   * components are computed once per prediction, at stage 2. Pre Graph
   * Cleanup and GraLMatch only delete edges, so every final group lies
-  * inside a stage-2 component: both reuse that assignment
-  * ([[PreCleanup.keep]], [[GraLMatch.cleanup]]). Pre Graph Cleanup only
-  * acts on a component over [[PreCleanup.MaxComponent]] records, so it is
-  * skipped when the largest stage-2 component is no larger.
+  * inside a stage-2 component: [[GraLMatch.cleanup]] groups the positives
+  * by that assignment once and runs both per component.
   *
   * Besides the connected components, a run's Spark actions are the count
   * that materializes the cached positives (where the inference timer stops)
@@ -33,12 +31,11 @@ object Pipeline {
 
   /** Stages 1–2 over `records`: the stage-1 (`pairwise`) and stage-2
     * (`preCleanup`) scores, the inference time, the cached positives
-    * `(src, dst, blockings)`, their stage-2 `(id, component)` assignment
-    * and the record count of its largest component.
+    * `(src, dst, blockings)` and their stage-2 `(id, component)` assignment.
     */
   final case class Prediction(
       records: DataFrame, pairwise: Metrics.PairScores, preCleanup: StageScores,
-      inferenceSeconds: Double, positives: DataFrame, assign: DataFrame, maxComponent: Long)
+      inferenceSeconds: Double, positives: DataFrame, assign: DataFrame)
 
   /** A cleaned prediction: the stage-3 scores and the final `(id, group)`
     * assignment, cached.
@@ -81,24 +78,18 @@ object Pipeline {
     // the prediction's only connected-components pass; stage 3 reuses it
     val assign = ConnectedComponents
       .run(spark, positives.select("src", "dst"), Some(allIds))
-    val (preScores, prePurity, maxComponent) =
-      Metrics.groupScores(assign, records, Some(pairwise.tp + pairwise.fn))
+    val (scores, purity) = Metrics.groupScores(assign, records, Some(pairwise.tp + pairwise.fn))
 
-    Prediction(records, pairwise, StageScores(preScores, prePurity), inferenceSeconds,
-      positives, assign, maxComponent)
+    Prediction(records, pairwise, StageScores(scores, purity), inferenceSeconds, positives, assign)
   }
 
   /** Stage 3: Pre Graph Cleanup, then GraLMatch at `thresholds` (Algorithm
     * 1's γ/μ). Leaves `p.positives` cached, so `p` can be cleaned again.
     */
   def cleanup(p: Prediction, thresholds: GraLMatch.Thresholds): Result = {
-    val kept =
-      if (p.maxComponent > PreCleanup.MaxComponent) PreCleanup.keep(p.positives, p.assign)
-      else p.positives
-    val groups = GraLMatch.cleanup(kept, p.assign, thresholds).cache()
-    val (postScores, postPurity, _) =
-      Metrics.groupScores(groups, p.records, Some(p.pairwise.tp + p.pairwise.fn))
-    Result(p, StageScores(postScores, postPurity), groups)
+    val groups = GraLMatch.cleanup(p.positives, p.assign, thresholds).cache()
+    val (s, pur) = Metrics.groupScores(groups, p.records, Some(p.pairwise.tp + p.pairwise.fn))
+    Result(p, StageScores(s, pur), groups)
   }
 
   /** [[predict]], then [[cleanup]]; the result's prediction is unpersisted. */

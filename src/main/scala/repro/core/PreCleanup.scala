@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -17,12 +17,17 @@ import repro.graph.ConnectedComponents
   * than [[MaxComponent]] (50, as in the paper) records.
   *
   * The components are those of the raw predictions (the pipeline's stage-2
-  * assignment), so [[Pipeline]] passes its own assignment to [[keep]]
-  * instead of computing them again.
+  * assignment). The pipeline applies the rule in [[GraLMatch.cleanup]]'s
+  * per-component task; [[run]] and [[keep]] are the reference it is tested
+  * against.
   */
 object PreCleanup {
 
   val MaxComponent = 50
+
+  /** True for an edge whose only `blockings` provenance is Token Overlap. */
+  val tokenOnly: Column =
+    size(filter(col("blockings"), b => b =!= lit(Blocking.TokenOverlap))) === 0
 
   /** Pre-cleanup of a prediction graph: its connected components, then
     * [[keep]].
@@ -46,9 +51,6 @@ object PreCleanup {
       .withColumn("size", count(lit(1)).over(Window.partitionBy("component")))
       .where(col("size") > MaxComponent)
       .select(col("id").as("src"), lit(true).as("inBig"))
-
-    val tokenOnly =
-      size(filter(col("blockings"), b => b =!= lit(Blocking.TokenOverlap))) === 0
 
     edges
       .join(compOf, Seq("src"), "left")

@@ -1,5 +1,8 @@
 package repro.exp
 
+import java.io.PrintStream
+import java.nio.charset.StandardCharsets.UTF_8
+
 import org.apache.spark.sql.SparkSession
 import scala.collection.mutable
 
@@ -135,6 +138,9 @@ final class ExpSession(val spark: SparkSession) {
 }
 
 object ExpSession {
+
+  /** Prints a rendered table to stdout as UTF-8, whatever the platform charset. */
+  def printTable(text: String): Unit = new PrintStream(System.out, true, UTF_8).println(text)
 
   /** The one SparkSession builder, shared by the tests, the bench suites
     * and the job entry points: master `SPARK_MASTER` (default

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.execution.MapGroupsExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.window.WindowExec
 import org.scalacheck.{Gen, Prop}
 
 import repro.SparkSpec
@@ -149,21 +150,29 @@ class GraLMatchSpec extends SparkSpec with Props {
   }
 
   test("cleanup plans one per-component kernel node") {
-    val qe = cleanupRows(barbell, (1L to 8L).map(_ -> 1L)).queryExecution
-    val kernels = qe.sparkPlan.collect { case p: MapGroupsExec => p }
-    assert(kernels.size == 1, qe.sparkPlan.treeString)
-    // two exchanges for the join of the edges to their component, one for
-    // the grouping that feeds the kernel
-    val initial = qe.executedPlan match {
-      case a: AdaptiveSparkPlanExec => a.initialPlan
-      case p => p
+    // with and without the provenance that Pre Graph Cleanup reads in the
+    // kernel's task: neither needs a window or a join of its own
+    val assign = (1L to 8L).map(_ -> 1L).toDF("id", "component")
+    val withBlockings = barbell.map { case (a, b) => (a, b, Seq(Blocking.TokenOverlap)) }
+      .toDF("src", "dst", "blockings")
+    for (edges <- Seq(barbell.toDF("src", "dst"), withBlockings)) {
+      val qe = GraLMatch.cleanup(edges, assign, Thresholds(25, 5)).queryExecution
+      val kernels = qe.sparkPlan.collect { case p: MapGroupsExec => p }
+      assert(kernels.size == 1, qe.sparkPlan.treeString)
+      assert(qe.sparkPlan.collect { case w: WindowExec => w }.isEmpty, qe.sparkPlan.treeString)
+      // two exchanges for the join of the edges to their component, one for
+      // the grouping that feeds the kernel
+      val initial = qe.executedPlan match {
+        case a: AdaptiveSparkPlanExec => a.initialPlan
+        case p => p
+      }
+      val exchanges = initial.collect { case e: ShuffleExchangeExec => e }
+      assert(exchanges.size == 3, initial.treeString)
     }
-    val exchanges = initial.collect { case e: ShuffleExchangeExec => e }
-    assert(exchanges.size == 3, initial.treeString)
   }
 
-  // Groups of one CC pass shared by pre-cleanup and cleanup, checked equal
-  // to those of a pass in each step.
+  // Groups of one CC pass, with pre-cleanup in the cleanup's per-component
+  // task, checked equal to those of a pass in each step.
   private def onePassGroups(
       edges: Seq[(Long, Long, Seq[String])], ids: Seq[Long]): Set[Set[Long]] = {
     val e = edges.toDF("src", "dst", "blockings")
@@ -172,7 +181,7 @@ class GraLMatchSpec extends SparkSpec with Props {
     def rows(df: org.apache.spark.sql.DataFrame) =
       df.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val cc = ConnectedComponents.run(spark, e.select("src", "dst"), Some(v))
-    val one = rows(GraLMatch.cleanup(PreCleanup.keep(e, cc), cc, th))
+    val one = rows(GraLMatch.cleanup(e, cc, th))
     val three = rows(GraLMatch.run(spark, PreCleanup.run(spark, e), th, Some(v)))
     assert(one == three)
     groupsOf(one.toSeq)

@@ -16,7 +16,7 @@ class MetricsSpec extends SparkSpec {
   // ground-truth pair count
   private def scoreGroups(a: DataFrame, records: DataFrame): (Metrics.PairScores, Double) = {
     val (s, pur) = Metrics.scoreGroups(a, records)
-    val (s2, pur2, _) = Metrics.groupScores(a, records, Some(Metrics.truthPairCount(records)))
+    val (s2, pur2) = Metrics.groupScores(a, records, Some(Metrics.truthPairCount(records)))
     assert(s2 == s)
     assert(math.abs(pur2 - pur) < 1e-12)
     (s, pur)

@@ -122,14 +122,7 @@ class PipelineSpec extends SparkSpec {
     val ids = secs.select("recordId").as[Long].collect().sorted.toSeq
     assert(groups(r) == ids.map(i => (i, i)))
     assert(r.postCleanup.scores.tp == 0 && r.postCleanup.scores.fp == 0)
-    assert(r.prediction.maxComponent == 1)
     r.groups.unpersist()
-  }
-
-  test("maxComponent is the record count of the largest stage-2 component") {
-    val largest = prediction.assign.groupBy("component").count()
-      .agg(max("count")).as[Long].head()
-    assert(prediction.maxComponent == largest)
   }
 
   test("cleanup runs Pre Graph Cleanup on a prediction with a component over 50 records") {
@@ -146,7 +139,7 @@ class PipelineSpec extends SparkSpec {
     val pairwise = Metrics.scorePairs(positives, records)
     val (pre, prePurity) = Metrics.scoreGroups(assign, records)
     val p = Pipeline.Prediction(records, pairwise, Pipeline.StageScores(pre, prePurity),
-      0.0, positives, assign, maxComponent = 60)
+      0.0, positives, assign)
 
     val th = GraLMatch.Thresholds(25, 5)
     def sorted(g: DataFrame) = g.as[(Long, Long)].collect().sorted.toSeq
@@ -154,7 +147,7 @@ class PipelineSpec extends SparkSpec {
     val r = Pipeline.cleanup(p, th)
     assert(groups(r) == expected)
     r.groups.unpersist()
-    assert(sorted(GraLMatch.cleanup(p.positives, p.assign, th)) != expected)
+    assert(sorted(GraLMatch.cleanup(p.positives.select("src", "dst"), p.assign, th)) != expected)
   }
 
   test("one run on the fixture starts at most 53 Spark jobs") {

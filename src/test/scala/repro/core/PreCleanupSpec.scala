@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.blocking.Blocking
+import repro.graph.ConnectedComponents
 
 class PreCleanupSpec extends SparkSpec {
 
@@ -54,8 +55,14 @@ class PreCleanupSpec extends SparkSpec {
     val token = Seq(Blocking.TokenOverlap)
     val at    = (1L until 50L).map(i => (i, i + 1, token))        // 50 records
     val above = (101L until 151L).map(i => (i, i + 1, token))    // 51 records
-    val out = PreCleanup.run(spark, edges((at ++ above): _*))
-    assert(pairsOf(out) == at.map(e => (e._1, e._2)).toSet)
+    val both = edges((at ++ above): _*)
+    assert(pairsOf(PreCleanup.run(spark, both)) == at.map(e => (e._1, e._2)).toSet)
+    // the same rule in GraLMatch.cleanup's per-component task: at μ = 100
+    // Algorithm 1 leaves a connected component whole
+    val assign = ConnectedComponents.run(spark, both.select("src", "dst"))
+    val sizes = GraLMatch.cleanup(both, assign, GraLMatch.Thresholds(100, 100))
+      .groupBy("group").count().select("count").as[Long].collect().sorted.toSeq
+    assert(sizes == Seq.fill(51)(1L) :+ 50L)
   }
 
   test("empty input stays empty") {
