@@ -42,12 +42,12 @@ class TablesGoldenBench extends SparkSpec {
 object TablesGoldenBench {
 
   /** The bench project's directory, `bench/`: sbt forks its tests there. */
-  val BenchDir: Path = Paths.get("").toAbsolutePath
+  private val BenchDir: Path = Paths.get("").toAbsolutePath
 
   /** Replaces the measured wall time `<paper>|<seconds> s` that ends a
     * Table 3 row and a Table 4 pairwise row by `<paper>|* s`, padding
     * included, so the masked text does not depend on the time's width.
     */
-  def maskTimes(text: String): String =
+  private def maskTimes(text: String): String =
     text.replaceAll("(?m) +([^ |][^|]*\\|)\\d+\\.\\d s$", " $1* s")
 }

@@ -18,8 +18,8 @@ import repro.graph.ConnectedComponents
   *
   * The components are those of the raw predictions (the pipeline's stage-2
   * assignment). The pipeline applies the rule in [[GraLMatch.cleanup]]'s
-  * per-component task; [[run]] and [[keep]] are the reference it is tested
-  * against.
+  * per-component task. [[run]] and [[keep]] are the reference that task is
+  * tested against, and `run` is perfbench's traced pre-cleanup step.
   */
 object PreCleanup {
 
