@@ -96,35 +96,70 @@ object GraLMatch {
     * Pre Graph Cleanup (§4.2.1) first: in a component of more than
     * [[PreCleanup.MaxComponent]] members it drops the token-only edges.
     *
-    * @param edges  predictions (`src`, `dst`, optionally `blockings`); every
-    *               edge must lie inside one component of `assign`
+    * When the edges also carry their endpoints' entities (`eSrc`, `eDst`),
+    * the task tallies both group assignments it sees (§5.3.2): `pre` holds
+    * the component's [[Metrics.GroupTally]] on the row of its smallest
+    * member, and `post` each final group's on the row of its label; both
+    * are null elsewhere. A member with no edge is a singleton and needs no
+    * entity, so `assign` must be the connected components of `edges`.
+    *
+    * @param edges  predictions (`src`, `dst`, optionally `blockings` and
+    *               `eSrc`/`eDst`); every edge must lie inside one component
+    *               of `assign`
     * @param assign `(id, component)` for every record to assign
-    * @return `(id, group)` — the final entity group assignment
+    * @return `(id, group)` — the final entity group assignment — followed,
+    *         with entities, by `pre` and `post`
     */
   def cleanup(edges: DataFrame, assign: DataFrame, thresholds: Thresholds): DataFrame = {
     val spark = edges.sparkSession
     import spark.implicits._
 
     // One row per edge, keyed by its component, and one self-loop per
-    // member; with provenance, a token-only flag follows. Parallel and
-    // reversed edges reach the kernel, whose LocalGraph collapses them.
-    val flag = if (edges.columns.contains("blockings")) Seq(PreCleanup.tokenOnly.as("t")) else Nil
-    val rows = edges
-      .select(col("src").cast("long") +: col("dst").cast("long") +: flag: _*)
+    // member; with provenance or entities, a token-only flag follows, then
+    // the entities (null on self-loops). Parallel and reversed edges reach
+    // the kernel, whose LocalGraph collapses them.
+    val tallied = edges.columns.contains("eSrc")
+    val flag =
+      if (edges.columns.contains("blockings")) Seq(PreCleanup.tokenOnly.as("t"))
+      else if (tallied) Seq(lit(false).as("t"))
+      else Nil
+    val entities = if (tallied) Seq("eSrc", "eDst").map(c => col(c).cast("long").as(c)) else Nil
+    val e = edges.select(col("src").cast("long") +: col("dst").cast("long") +: (flag ++ entities): _*)
+    val rows = e
       .join(assign.withColumnRenamed("id", "src"), "src")
-      .select(col("component") +: col("src") +: col("dst") +: flag.map(_ => col("t")): _*)
-      .union(assign.select(col("component") +: col("id") +: col("id") +: flag.map(_ => lit(false)): _*))
+      .select(col("component") +: e.columns.toSeq.map(col): _*)
+      .union(assign.select(Seq(col("component"), col("id"), col("id")) ++
+        flag.map(_ => lit(false)) ++ entities.map(_ => lit(null).cast("long")): _*))
       .groupBy(col("component"))
 
-    (if (flag.isEmpty)
+    if (tallied)
+      rows.as[Long, (Long, Long, Long, Boolean, Option[Long], Option[Long])].flatMapGroups { (_, rs) =>
+        val all = rs.toSeq
+        val entity = all.flatMap(r => r._5.map(r._2 -> _) ++ r._6.map(r._3 -> _)).toMap
+        def tally(ids: Seq[Long]) =
+          if (ids.size == 1) Metrics.GroupTally(1, 0) else Metrics.GroupTally.of(ids.map(entity))
+        val members = all.collect { case r if r._2 == r._3 => r._2 }
+        val out = cleanTask(all.map(r => (r._2, r._3, r._4)), thresholds)
+        val post = out.groupBy(_._2).map { case (g, ms) => g -> tally(ms.map(_._1)) }
+        val first = members.min
+        out.map { case (id, g) => (id, g, if (id == first) Some(tally(members)) else None, post.get(id)) }
+      }.toDF("id", "group", "pre", "post")
+    else if (flag.nonEmpty)
+      rows.as[Long, (Long, Long, Long, Boolean)]
+        .flatMapGroups((_, rs) => cleanTask(rs.map(r => (r._2, r._3, r._4)).toSeq, thresholds))
+        .toDF("id", "group")
+    else
       rows.as[Long, (Long, Long, Long)]
         .flatMapGroups((_, rs) => cleanupComponent(rs.map(r => (r._2, r._3)).toSeq, thresholds))
-    else
-      rows.as[Long, (Long, Long, Long, Boolean)].flatMapGroups { (_, rs) =>
-        val all = rs.toSeq
-        // a member per self-loop: predictions never pair a record with itself
-        val big = all.count(r => r._2 == r._3) > PreCleanup.MaxComponent
-        cleanupComponent(all.collect { case (_, s, d, t) if !(big && t) => (s, d) }, thresholds)
-      }).toDF("id", "group")
+        .toDF("id", "group")
+  }
+
+  /** Pre Graph Cleanup, then [[cleanupComponent]], on one component's rows
+    * `(src, dst, token-only)`, with a self-loop per member: predictions
+    * never pair a record with itself.
+    */
+  private def cleanTask(rows: Seq[(Long, Long, Boolean)], thresholds: Thresholds): Seq[(Long, Long)] = {
+    val big = rows.count(r => r._1 == r._2) > PreCleanup.MaxComponent
+    cleanupComponent(rows.collect { case (s, d, t) if !(big && t) => (s, d) }, thresholds)
   }
 }

@@ -1,22 +1,23 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 /** Precision / recall / F1 over match-pair sets and the Cluster Purity
   * score (paper §5.3.2–§5.3.3).
   *
   * Stage 2/3 scores treat a group assignment as the complete graph over
-  * each group: a component with n records implies n·(n−1)/2 predicted
-  * pairs. Those counts are computed arithmetically from per-component
-  * entity tallies — the transitive closure is never materialized, so large
-  * (even pathological) components cost nothing.
+  * each group: a group with n records implies n·(n−1)/2 predicted pairs.
+  * Those counts are computed arithmetically from per-group entity tallies
+  * ([[GroupTally]]) — the transitive closure is never materialized, so large
+  * (even pathological) groups cost nothing.
   *
-  * Each score is one Spark action: one `head()` of its one-row aggregate
-  * cross-joined with the one-row ground-truth pair count. That count is
-  * computed from the records unless the caller passes it in; [[Pipeline]]
-  * takes it from its stage-1 score (`tp + fn`), so a prediction computes
-  * it once.
+  * [[scorePairs]] and [[scoreGroups]] each join a prediction to `entityId`
+  * and are one Spark action: one `head()` of their one-row aggregate
+  * cross-joined with the one-row ground-truth pair count. [[Pipeline]] runs
+  * neither: it sums the same tallies ([[pairTallies]], [[groupTallies]])
+  * over passes it runs anyway, and [[groupScores]] is the one formula from
+  * those sums to scores.
   */
 object Metrics {
 
@@ -29,9 +30,17 @@ object Metrics {
     }
   }
 
+  /** One group's size `n` and true pairs `tp`: Σ over its entities of m·(m−1)/2. */
+  final case class GroupTally(n: Long, tp: Long)
+
+  object GroupTally {
+    /** The tally of a group whose members have `entities`. */
+    def of(entities: Seq[Long]): GroupTally = GroupTally(
+      entities.size, entities.groupBy(identity).values.map(m => m.size.toLong * (m.size - 1) / 2).sum)
+  }
+
   // n·(n−1)/2 — Spark's `/` yields Double, so cast back to long
   private def c2(n: Column): Column = ((n * (n - lit(1))) / lit(2)).cast("long")
-  private type Column = org.apache.spark.sql.Column
 
   /** One row, one column `truth`: Σ over entities of n·(n−1)/2. */
   private def truthPairs(records: DataFrame): DataFrame =
@@ -43,6 +52,31 @@ object Metrics {
   /** Total ground-truth matches: Σ over entities of n·(n−1)/2. */
   def truthPairCount(records: DataFrame): Long = truthPairs(records).head().getLong(0)
 
+  /** Aggregates `(tp, fp)` of pairs whose endpoints have entities `a` and `b`. */
+  private[core] def pairTallies(a: Column, b: Column): Seq[Column] = Seq(
+    coalesce(sum(when(a === b, 1L).otherwise(0L)), lit(0L)),
+    coalesce(sum(when(a =!= b, 1L).otherwise(0L)), lit(0L)))
+
+  /** Aggregates `(Σ tp, Σ n·(n−1)/2, Σ n, purity numerator)` of per-group
+    * tallies `n` and `tp`; rows where they are null add nothing.
+    */
+  private[core] def groupTallies(n: Column, tp: Column): Seq[Column] = Seq(
+    coalesce(sum(tp), lit(0L)),
+    coalesce(sum(c2(n)), lit(0L)),
+    coalesce(sum(n), lit(0L)),
+    // cluster purity numerator: |V_c| · tp_c / E_c, singletons count pure
+    coalesce(sum(when(n === 1, lit(1.0)).otherwise(n * tp / c2(n))), lit(0.0)))
+
+  /** A group assignment's `(PairScores, clusterPurity)` from the four
+    * [[groupTallies]] at `i` of `row` and the ground-truth pair count.
+    */
+  private[core] def groupScores(row: Row, i: Int, truth: Long): (PairScores, Double) = {
+    val tp = row.getLong(i)
+    val vertices = row.getLong(i + 2)
+    (PairScores(tp, row.getLong(i + 1) - tp, truth - tp),
+      if (vertices == 0) 0.0 else row.getDouble(i + 3) / vertices)
+  }
+
   /** Scores an explicit pair set (stage 1, pairwise predictions) against the
     * ground truth in `records(recordId, entityId)`.
     */
@@ -53,10 +87,8 @@ object Metrics {
     val joined = pairs.select("src", "dst").distinct()
       .join(ent.withColumnRenamed("recordId", "dst").withColumnRenamed("entityId", "eB"), "dst")
       .join(ent.withColumnRenamed("recordId", "src").withColumnRenamed("entityId", "eA"), "src")
-    val agg = joined.agg(
-      coalesce(sum(when(col("eA") === col("eB"), 1L).otherwise(0L)), lit(0L)).as("tp"),
-      coalesce(sum(when(col("eA") =!= col("eB"), 1L).otherwise(0L)), lit(0L)).as("fp")
-    ).crossJoin(truthPairs(records)).head()
+    val tallies = pairTallies(col("eA"), col("eB"))
+    val agg = joined.agg(tallies.head, tallies.tail: _*).crossJoin(truthPairs(records)).head()
     val tp = agg.getLong(0)
     PairScores(tp, agg.getLong(1), agg.getLong(2) - tp)
   }
@@ -69,15 +101,7 @@ object Metrics {
     *                   record must appear (records with no predicted match
     *                   form singleton components)
     */
-  def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) =
-    groupScores(assignment, records, None)
-
-  /** [[scoreGroups]], given the ground-truth pair count unless `truth` is `None`. */
-  private[core] def groupScores(
-      assignment: DataFrame, records: DataFrame, truth: Option[Long]
-  ): (PairScores, Double) = {
-    val spark = records.sparkSession
-    import spark.implicits._
+  def scoreGroups(assignment: DataFrame, records: DataFrame): (PairScores, Double) = {
     val ent = records.select(col("recordId").as("id"), col("entityId"))
     // one exchange: hash partitioning by `component` satisfies both
     // groupBys below, so neither needs a shuffle of its own
@@ -90,20 +114,8 @@ object Metrics {
       sum(col("m")).as("n"),
       sum(c2(col("m"))).as("tpC"))
 
-    val agg = perComp.agg(
-      coalesce(sum(col("tpC")), lit(0L)).as("tp"),
-      coalesce(sum(c2(col("n"))), lit(0L)).as("pred"),
-      coalesce(sum(col("n")), lit(0L)).as("vertices"),
-      // cluster purity numerator: |V_c| · tp_c / E_c, singletons count pure
-      coalesce(sum(
-        when(col("n") === 1, lit(1.0))
-          .otherwise(col("n") * col("tpC") / c2(col("n")))), lit(0.0)).as("purNum")
-    ).crossJoin(truth.fold(truthPairs(records))(t => Seq(t).toDF("truth"))).head()
-
-    val tp   = agg.getLong(0)
-    val pred = agg.getLong(1)
-    val nV   = agg.getLong(2)
-    val purity = if (nV == 0) 0.0 else agg.getDouble(3) / nV
-    (PairScores(tp, pred - tp, agg.getLong(4) - tp), purity)
+    val tallies = groupTallies(col("n"), col("tpC"))
+    val agg = perComp.agg(tallies.head, tallies.tail: _*).crossJoin(truthPairs(records)).head()
+    groupScores(agg, 0, agg.getLong(4))
   }
 }

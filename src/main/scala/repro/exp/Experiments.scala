@@ -202,7 +202,7 @@ object Experiments {
     try thresholds.map { case (label, th) =>
       val res = Pipeline.cleanup(p, th)
       res.groups.unpersist()
-      GroupMatchRow(ds.name, label, p.pairwise, p.preCleanup, res.postCleanup, p.inferenceSeconds)
+      GroupMatchRow(ds.name, label, p.pairwise, res.preCleanup, res.postCleanup, p.inferenceSeconds)
     } finally p.positives.unpersist()
   }
 

@@ -28,7 +28,9 @@ object PairwiseMatcher {
 
   /** Joins the two records of every pair and computes the model-view
     * features. Input pairs need `src`/`dst`; extra columns are preserved.
-    * Output adds a `features` array column.
+    * Output adds a `features` array column and, when the records have an
+    * `entityId`, each side's entity as `eSrc`/`eDst` (the features never
+    * read it).
     */
   def featurize(
       pairs: DataFrame,
@@ -42,8 +44,11 @@ object PairwiseMatcher {
     val colArr  = cols.toArray
 
     val attrs = array(cols.map(c => col(c).cast("string")): _*)
-    val recA = records.select(col("recordId").as("src"), attrs.as("attrsA"))
-    val recB = records.select(col("recordId").as("dst"), attrs.as("attrsB"))
+    def side(id: String, attrsCol: String, entityCol: String) = records.select(
+      Seq(col("recordId").as(id), attrs.as(attrsCol)) ++
+        (if (records.columns.contains("entityId")) Seq(col("entityId").as(entityCol)) else Nil): _*)
+    val recA = side("src", "attrsA", "eSrc")
+    val recB = side("dst", "attrsB", "eDst")
 
     val featUdf = udf { (a: Seq[String], b: Seq[String]) =>
       def fields(vals: Seq[String]): Seq[Serializer.Field] =

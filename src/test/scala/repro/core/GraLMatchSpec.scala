@@ -149,13 +149,31 @@ class GraLMatchSpec extends SparkSpec with Props {
     assert(rows(noisy) == canonical)
   }
 
+  test("cleanup with entities tallies each component and each final group on one row") {
+    // the barbell's K4s are entities 1 and 2, each false edge joins them;
+    // 9 is an isolated record with no entity on any edge
+    val edges = barbell.map { case (a, b) => (a, b, (a + 3) / 4, (b + 3) / 4) }.toDF("src", "dst", "eSrc", "eDst")
+    val assign = ((1L to 8L).map(_ -> 1L) :+ (9L -> 9L)).toDF("id", "component")
+    val rows = GraLMatch.cleanup(edges, assign, Thresholds(25, 5))
+      .as[(Long, Long, Option[Metrics.GroupTally], Option[Metrics.GroupTally])].collect().sortBy(_._1)
+    assert(rows.map(r => (r._1, r._2)).toSeq ==
+      (1L to 9L).map(i => i -> (if (i <= 4) 1L else if (i <= 8) 5L else 9L)))
+    assert(rows.flatMap(r => r._3.map(r._1 -> _)).toSeq ==
+      Seq(1L -> Metrics.GroupTally(8, 12), 9L -> Metrics.GroupTally(1, 0)))
+    assert(rows.flatMap(r => r._4.map(r._1 -> _)).toSeq ==
+      Seq(1L -> Metrics.GroupTally(4, 6), 5L -> Metrics.GroupTally(4, 6), 9L -> Metrics.GroupTally(1, 0)))
+  }
+
   test("cleanup plans one per-component kernel node") {
-    // with and without the provenance that Pre Graph Cleanup reads in the
-    // kernel's task: neither needs a window or a join of its own
+    // with and without the provenance that Pre Graph Cleanup reads and the
+    // entities that the stage tallies read in the kernel's task: none needs
+    // a window or a join of its own
     val assign = (1L to 8L).map(_ -> 1L).toDF("id", "component")
     val withBlockings = barbell.map { case (a, b) => (a, b, Seq(Blocking.TokenOverlap)) }
       .toDF("src", "dst", "blockings")
-    for (edges <- Seq(barbell.toDF("src", "dst"), withBlockings)) {
+    val withEntities = barbell.map { case (a, b) => (a, b, Seq(Blocking.TokenOverlap), a / 5, b / 5) }
+      .toDF("src", "dst", "blockings", "eSrc", "eDst")
+    for (edges <- Seq(barbell.toDF("src", "dst"), withBlockings, withEntities)) {
       val qe = GraLMatch.cleanup(edges, assign, Thresholds(25, 5)).queryExecution
       val kernels = qe.sparkPlan.collect { case p: MapGroupsExec => p }
       assert(kernels.size == 1, qe.sparkPlan.treeString)

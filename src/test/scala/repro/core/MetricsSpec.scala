@@ -1,7 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-
 import repro.{Oracle, SparkSpec}
 
 class MetricsSpec extends SparkSpec {
@@ -11,16 +9,6 @@ class MetricsSpec extends SparkSpec {
   private def recs(rows: (Long, Long)*) = rows.toDF("recordId", "entityId")
   private def pairs(rows: (Long, Long)*) = rows.toDF("src", "dst")
   private def assign(rows: (Long, Long)*) = rows.toDF("id", "component")
-
-  // Metrics.scoreGroups, checked against Metrics.groupScores handed the
-  // ground-truth pair count
-  private def scoreGroups(a: DataFrame, records: DataFrame): (Metrics.PairScores, Double) = {
-    val (s, pur) = Metrics.scoreGroups(a, records)
-    val (s2, pur2) = Metrics.groupScores(a, records, Some(Metrics.truthPairCount(records)))
-    assert(s2 == s)
-    assert(math.abs(pur2 - pur) < 1e-12)
-    (s, pur)
-  }
 
   test("PairScores formulas") {
     val s = Metrics.PairScores(tp = 8, fp = 2, fn = 8)
@@ -58,12 +46,11 @@ class MetricsSpec extends SparkSpec {
     val a = assign((1L, 1L), (2L, 1L), (3L, 3L))
     assert(sparkActions(Metrics.scorePairs(pairs((1L, 2L), (1L, 4L)), records)) == Seq("head"))
     assert(sparkActions(Metrics.scoreGroups(a, records)) == Seq("head"))
-    assert(sparkActions(Metrics.groupScores(a, records, Some(3L))) == Seq("head"))
   }
 
   test("scoreGroups on a perfect assignment") {
     val records = recs((1L, 1L), (2L, 1L), (3L, 2L), (4L, 2L))
-    val (s, pur) = scoreGroups(assign((1L, 1L), (2L, 1L), (3L, 3L), (4L, 3L)), records)
+    val (s, pur) = Metrics.scoreGroups(assign((1L, 1L), (2L, 1L), (3L, 3L), (4L, 3L)), records)
     assert(s == Metrics.PairScores(tp = 2, fp = 0, fn = 0))
     assert(math.abs(pur - 1.0) < 1e-9)
   }
@@ -71,7 +58,7 @@ class MetricsSpec extends SparkSpec {
   test("scoreGroups counts implied transitive pairs as predictions") {
     // one component of 4 records from two entities of 2 → pred = 6, tp = 2
     val records = recs((1L, 1L), (2L, 1L), (3L, 2L), (4L, 2L))
-    val (s, pur) = scoreGroups(
+    val (s, pur) = Metrics.scoreGroups(
       assign((1L, 1L), (2L, 1L), (3L, 1L), (4L, 1L)), records)
     assert(s == Metrics.PairScores(tp = 2, fp = 4, fn = 0))
     // purity: single group of 4 with 2 true pairs of 6 → 1/3
@@ -80,14 +67,14 @@ class MetricsSpec extends SparkSpec {
 
   test("scoreGroups counts missed entities as fn") {
     val records = recs((1L, 1L), (2L, 1L), (3L, 1L))
-    val (s, _) = scoreGroups(
+    val (s, _) = Metrics.scoreGroups(
       assign((1L, 1L), (2L, 1L), (3L, 3L)), records) // record 3 split off
     assert(s == Metrics.PairScores(tp = 1, fp = 0, fn = 2))
   }
 
   test("singleton components count as pure") {
     val records = recs((1L, 1L), (2L, 2L))
-    val (s, pur) = scoreGroups(assign((1L, 1L), (2L, 2L)), records)
+    val (s, pur) = Metrics.scoreGroups(assign((1L, 1L), (2L, 2L)), records)
     assert(s == Metrics.PairScores(0, 0, 0))
     assert(math.abs(pur - 1.0) < 1e-9)
   }
@@ -95,7 +82,7 @@ class MetricsSpec extends SparkSpec {
   test("cluster purity weights groups by size") {
     // group A: 3 records, 1 true pair of 3 (purity 1/3); group B: 2 records pure
     val records = recs((1L, 1L), (2L, 1L), (3L, 2L), (4L, 3L), (5L, 3L))
-    val (_, pur) = scoreGroups(
+    val (_, pur) = Metrics.scoreGroups(
       assign((1L, 1L), (2L, 1L), (3L, 1L), (4L, 4L), (5L, 4L)), records)
     val expected = (3 * (1.0 / 3) + 2 * 1.0) / 5
     assert(math.abs(pur - expected) < 1e-9)
@@ -120,7 +107,7 @@ class MetricsSpec extends SparkSpec {
   test("oracle: scoreGroups implied-pair arithmetic matches DuckDB") {
     val records = recs((1L, 1L), (2L, 1L), (3L, 2L), (4L, 2L), (5L, 3L))
     val a = assign((1L, 1L), (2L, 1L), (3L, 1L), (4L, 4L), (5L, 4L))
-    val (s, _) = scoreGroups(a, records)
+    val (s, _) = Metrics.scoreGroups(a, records)
     val got = Seq((s.tp, s.tp + s.fp)).toDF("tp", "pred")
     Oracle.assertEquivalent(
       got,

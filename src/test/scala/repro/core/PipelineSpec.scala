@@ -2,14 +2,16 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import org.apache.spark.storage.StorageLevel
+import org.scalacheck.{Gen, Prop}
 import repro.SparkSpec
 import repro.blocking.{Blocking, IdOverlapBlocking, TokenOverlapBlocking}
 import repro.datagen.{EmDatasets, GenParams}
-import repro.graph.ConnectedComponents
-import repro.matcher.{PairwiseMatcher, Serializer}
+import repro.matcher.{LogisticModel, PairwiseMatcher, Serializer}
 import repro.matcher.PairwiseMatcher.RecordSchema
+import repro.testkit.Props
 
-class PipelineSpec extends SparkSpec {
+class PipelineSpec extends SparkSpec with Props {
 
   import spark.implicits._
 
@@ -44,14 +46,30 @@ class PipelineSpec extends SparkSpec {
     Pipeline.predict(spark, secs, cands, model, RecordSchema.Securities, Serializer.Plain, 128)
   }
 
-  private def groups(r: Pipeline.Result) = r.groups.as[(Long, Long)].collect().sorted.toSeq
+  private def sorted(g: DataFrame) = g.as[(Long, Long)].collect().sorted.toSeq
+  private def groups(r: Pipeline.Result) = sorted(r.groups)
+
+  // a 60-record token-only chain with three id-overlap edges, two records
+  // per entity
+  private lazy val chain = {
+    val idEdges = Set(10L, 30L, 50L)
+    val cands = (1L until 60L)
+      .map(i => (i, i + 1, if (idEdges(i)) Blocking.IdOverlap else Blocking.TokenOverlap))
+      .toDF("src", "dst", "blocking")
+    ((1L to 60L).map(i => (i, (i + 1) / 2, s"r$i")).toDF("recordId", "entityId", "name"), cands)
+  }
+
+  // Stages 1-2 with a model that matches every candidate pair: no weights,
+  // and a bias whose sigmoid is over the 0.5 threshold.
+  private def predictAll(records: DataFrame, candidates: DataFrame): Pipeline.Prediction =
+    Pipeline.predict(spark, records, candidates, LogisticModel(Array.empty, 10.0),
+      RecordSchema(Seq("name" -> false)), Serializer.Plain, 128)
 
   // same groups and scores; the purity sum may differ in the last bits
   private def assertSame(a: Pipeline.Result, b: Pipeline.Result): Unit = {
     assert(groups(a) == groups(b))
-    val (p, q) = (a.prediction, b.prediction)
-    assert(p.pairwise == q.pairwise)
-    for ((x, y) <- Seq(p.preCleanup -> q.preCleanup, a.postCleanup -> b.postCleanup)) {
+    assert(a.prediction.pairwise == b.prediction.pairwise)
+    for ((x, y) <- Seq(a.preCleanup -> b.preCleanup, a.postCleanup -> b.postCleanup)) {
       assert(x.scores == y.scores)
       assert(math.abs(x.clusterPurity - y.clusterPurity) < 1e-12)
     }
@@ -73,7 +91,7 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("post-cleanup precision is at least pre-cleanup precision") {
-    val pre = result.prediction.preCleanup
+    val pre = result.preCleanup
     assert(result.postCleanup.scores.precision >= pre.scores.precision - 1e-9)
   }
 
@@ -99,8 +117,7 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("stage-2 recall >= stage-1 recall (transitive closure adds matches)") {
-    val p = result.prediction
-    assert(p.preCleanup.scores.recall >= p.pairwise.recall - 1e-9)
+    assert(result.preCleanup.scores.recall >= result.prediction.pairwise.recall - 1e-9)
   }
 
   test("run equals cleanup of predict") {
@@ -126,35 +143,117 @@ class PipelineSpec extends SparkSpec {
   }
 
   test("cleanup runs Pre Graph Cleanup on a prediction with a component over 50 records") {
-    // a 60-record token-only chain with three id-overlap edges: pre-cleanup
-    // leaves only those, which changes what GraLMatch sees
-    val token = Seq(Blocking.TokenOverlap)
-    val idEdges = Set(10L, 30L, 50L)
-    val positives = (1L until 60L)
-      .map(i => (i, i + 1, if (idEdges(i)) Seq(Blocking.IdOverlap) else token))
-      .toDF("src", "dst", "blockings")
-    val records = (1L to 60L).map(i => (i, (i + 1) / 2)).toDF("recordId", "entityId")
-    val allIds = records.select($"recordId".as("id"))
-    val assign = ConnectedComponents.run(spark, positives.select("src", "dst"), Some(allIds))
-    val pairwise = Metrics.scorePairs(positives, records)
-    val (pre, prePurity) = Metrics.scoreGroups(assign, records)
-    val p = Pipeline.Prediction(records, pairwise, Pipeline.StageScores(pre, prePurity),
-      0.0, positives, assign)
-
+    // pre-cleanup leaves only the chain's id-overlap edges, which changes
+    // what GraLMatch sees
+    val (records, cands) = chain
+    val p = predictAll(records, cands)
     val th = GraLMatch.Thresholds(25, 5)
-    def sorted(g: DataFrame) = g.as[(Long, Long)].collect().sorted.toSeq
-    val expected = sorted(GraLMatch.cleanup(PreCleanup.keep(p.positives, p.assign), p.assign, th))
+    val edges = p.positives.select("src", "dst", "blockings")
+    val expected = sorted(GraLMatch.cleanup(PreCleanup.keep(edges, p.assign), p.assign, th))
     val r = Pipeline.cleanup(p, th)
     assert(groups(r) == expected)
     r.groups.unpersist()
     assert(sorted(GraLMatch.cleanup(p.positives.select("src", "dst"), p.assign, th)) != expected)
+    p.positives.unpersist()
   }
 
-  test("one run on the fixture starts at most 53 Spark jobs") {
+  // Each stage score of `p` cleaned at (25, 5) equals the score of what the
+  // pipeline outputs at that stage: the positives, the assignment, the groups.
+  private def assertOracleScores(p: Pipeline.Prediction, records: DataFrame): Unit = {
+    val r = Pipeline.cleanup(p, GraLMatch.Thresholds(25, 5))
+    assert(p.pairwise == Metrics.scorePairs(p.positives, records))
+    for ((stage, assignment) <- Seq(r.preCleanup -> p.assign, r.postCleanup -> r.groups)) {
+      val (scores, purity) = Metrics.scoreGroups(assignment, records)
+      assert(stage.scores == scores)
+      assert(math.abs(stage.clusterPurity - purity) < 1e-12)
+    }
+    r.groups.unpersist()
+  }
+
+  test("stage scores equal scorePairs and scoreGroups on the securities fixture") {
+    assertOracleScores(prediction, fixtures._1)
+  }
+
+  test("stage scores equal scorePairs and scoreGroups on the token-only chain") {
+    val (records, cands) = chain
+    val p = predictAll(records, cands)
+    assertOracleScores(p, records)
+    p.positives.unpersist()
+  }
+
+  test("stage scores equal scorePairs and scoreGroups with no candidates") {
+    val (secs, cands, model) = fixtures
+    val p = Pipeline.predict(spark, secs, cands.limit(0), model, RecordSchema.Securities, Serializer.Plain, 128)
+    assert(p.pairwise.tp == 0 && p.pairwise.fp == 0 && p.pairwise.fn > 0)
+    assertOracleScores(p, secs)
+    p.positives.unpersist()
+  }
+
+  // 1 to 4 disjoint random pieces of up to 70 records each (so pre-cleanup
+  // can act), their candidate pairs with random provenance, and each
+  // record's entity among few enough that components mix entities.
+  private val labeledGraph: Gen[(Seq[(Long, Long, String)], Seq[(Long, Long)])] = for {
+    k      <- Gen.choose(1, 4)
+    sizes  <- Gen.listOfN(k, Gen.choose(1, 70))
+    pieces <- Gen.sequence[List[Seq[(Long, Long, String)]], Seq[(Long, Long, String)]](sizes.map { n =>
+                Gen.choose(0, 2 * n).flatMap(m => Gen.listOfN(m, Gen.zip(
+                  Gen.choose(0L, n - 1L), Gen.choose(0L, n - 1L),
+                  Gen.oneOf(Blocking.IdOverlap, Blocking.TokenOverlap))))
+              })
+    labels <- Gen.listOfN(sizes.sum, Gen.choose(0L, sizes.sum / 3L))
+  } yield {
+    val offsets = sizes.scanLeft(0L)(_ + _)
+    val cands = pieces.zip(offsets).flatMap { case (es, o) =>
+      es.collect { case (u, v, b) if u != v => (o + math.min(u, v), o + math.max(u, v), b) }
+    }
+    (cands, (0L until offsets.last).zip(labels))
+  }
+
+  test("property: relabeling entities bijectively changes no group and no score") {
+    val th = GraLMatch.Thresholds(10, 3)
+    checkProp(Prop.forAllNoShrink(labeledGraph, Gen.choose(0L, Long.MaxValue)) { case ((cands, labels), seed) =>
+      // a random bijection of the labels onto sparse, large values
+      val distinct = labels.map(_._2).distinct
+      val image = new scala.util.Random(seed).shuffle(distinct).map(_ * 1000003L + 17L)
+      val relabel = distinct.zip(image).toMap
+      def cleaned(ls: Seq[(Long, Long)]): Pipeline.Result = {
+        val records = ls.map { case (i, e) => (i, e, s"r$i") }.toDF("recordId", "entityId", "name")
+        val p = predictAll(records, cands.toDF("src", "dst", "blocking"))
+        val r = Pipeline.cleanup(p, th)
+        // the entities change what the task reports, never what it cleans
+        assert(groups(r) == sorted(GraLMatch.cleanup(p.positives.select("src", "dst", "blockings"), p.assign, th)))
+        r
+      }
+      val (a, b) = (cleaned(labels), cleaned(labels.map { case (i, e) => (i, relabel(e)) }))
+      assertSame(a, b)
+      for (r <- Seq(a, b)) { r.groups.unpersist(); r.prediction.positives.unpersist() }
+      true
+    }, minTests = 5)
+  }
+
+  test("one run on the fixture starts at most 45 Spark jobs") {
     fixtures
     val jobs = sparkJobs(run(GraLMatch.Thresholds(25, 5)).groups.unpersist())
     info(s"$jobs Spark jobs")
-    assert(jobs <= 53, s"$jobs Spark jobs")
+    assert(jobs <= 45, s"$jobs Spark jobs")
+  }
+
+  test("a run's Spark actions: stage-1 tallies, truth, components, stage-2/3 tallies, groups") {
+    fixtures
+    val actions = sparkActions(run(GraLMatch.Thresholds(25, 5)).groups.unpersist())
+    assert(actions == Seq("head", "head", "localCheckpoint", "head", "foreachPartition"), actions)
+  }
+
+  test("cleanup caches only its groups, and nothing once they are unpersisted") {
+    val sc = spark.sparkContext
+    val p = prediction
+    val before = sc.getPersistentRDDs.keySet
+    val r = Pipeline.cleanup(p, GraLMatch.Thresholds(25, 5))
+    assert(r.groups.storageLevel != StorageLevel.NONE)
+    assert((sc.getPersistentRDDs.keySet -- before).size == 1)
+    r.groups.unpersist()
+    assert(r.groups.storageLevel == StorageLevel.NONE)
+    assert(sc.getPersistentRDDs.keySet.subsetOf(before))
   }
 
   test("run gives the same groups at 1, 7 and 64 shuffle partitions and in any row order") {
